@@ -14,18 +14,13 @@ from .model import (
     sample_atom,
 )
 from .sampler import (
+    Chain,
     ChainConfig,
     ChainOutput,
     birth_log_ratio,
-    birth_step,
     choose_move,
     death_log_ratio,
-    death_step,
-    gibbs_M,
-    gibbs_beta,
-    gibbs_sigma2,
     posterior_curve,
-    relocation_step,
     run_chain,
 )
 from .signals import eval_test_function, generate_dataset, rsnr_sigma, sample_grid
@@ -35,9 +30,8 @@ __all__ = [
     "KnotVector", "basis_integral", "basis_values", "eval_basis", "eval_mean",
     "Atom", "Dataset", "DegenerateDataError", "DegreeComponent", "Hyperparams",
     "ModelState", "atom_log_prior", "init_state", "log_likelihood", "sample_atom",
-    "ChainConfig", "ChainOutput", "birth_log_ratio", "birth_step", "choose_move",
-    "death_log_ratio", "death_step", "gibbs_M", "gibbs_beta", "gibbs_sigma2",
-    "posterior_curve", "relocation_step", "run_chain",
+    "Chain", "ChainConfig", "ChainOutput", "birth_log_ratio", "choose_move",
+    "death_log_ratio", "posterior_curve", "run_chain",
     "eval_test_function", "generate_dataset", "rsnr_sigma", "sample_grid",
     "ExperimentSpec", "ExperimentResult", "emit_table", "mse", "run_experiment",
 ]

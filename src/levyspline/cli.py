@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -89,6 +89,12 @@ class RunConfig:
     prior_only: bool = False
     full_recompute: bool = False
 
+    def __post_init__(self):
+        self.hyperparams()  # validate the mirrored invariants once, here
+        self.chain_config()
+        if not (0.0 <= self.q_lower < self.q_upper <= 1.0):
+            raise ValueError("config fields q_lower/q_upper must satisfy 0 <= lower < upper <= 1")
+
     def hyperparams(self) -> Hyperparams:
         return Hyperparams.make(self.degrees, r=self.r, R=self.R,
                                 a_gamma=self.a_gamma, b_gamma=self.b_gamma,
@@ -127,30 +133,28 @@ def _parse_value(name: str, raw: str, kind):
         raise ValueError(f"config field {name!r}: cannot parse value {raw!r}") from None
 
 
-def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
-    cfg = base or RunConfig()
-    kinds = {f.name: ("degrees" if f.name == "degrees" else f.type) for f in fields(cfg)}
-    typemap = {"int": int, "float": float, "bool": bool, "degrees": "degrees",
-               "tuple[int, ...]": "degrees"}
+_CONFIG_KEYS = {f.name: "degrees" if f.name == "degrees" else type(f.default)
+                for f in fields(RunConfig)}
+
+
+def _read_key_values(text: str, kinds: dict, what: str) -> dict:
+    """Typed values of flat `key = value` lines; `#` starts a comment."""
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected 'key = value'")
+            raise ValueError(f"{what} line {lineno}: expected 'key = value'")
         key, raw = (p.strip() for p in line.split("=", 1))
         if key not in kinds:
-            raise ValueError(f"config line {lineno}: unknown field {key!r}")
-        kind = typemap.get(str(kinds[key]), kinds[key])
-        values[key] = _parse_value(key, raw, kind)
-    merged = {f.name: values.get(f.name, getattr(cfg, f.name)) for f in fields(cfg)}
-    out = RunConfig(**merged)
-    out.hyperparams()  # re-validate mirrored invariants at parse time
-    out.chain_config()
-    if not (0.0 <= out.q_lower < out.q_upper <= 1.0):
-        raise ValueError("config fields q_lower/q_upper must satisfy 0 <= lower < upper <= 1")
-    return out
+            raise ValueError(f"{what} line {lineno}: unknown field {key!r}")
+        values[key] = _parse_value(key, raw, kinds[key])
+    return values
+
+
+def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
+    return replace(base or RunConfig(), **_read_key_values(text, _CONFIG_KEYS, "config"))
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
@@ -158,13 +162,7 @@ def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     if path is not None:
         with open(path) as fh:
             cfg = parse_config(fh.read(), cfg)
-    if overrides:
-        merged = {f.name: overrides.get(f.name, getattr(cfg, f.name))
-                  for f in fields(cfg)}
-        cfg = RunConfig(**merged)
-        cfg.hyperparams()
-        cfg.chain_config()
-    return cfg
+    return replace(cfg, **(overrides or {}))
 
 
 # ---- subcommands ----------------------------------------------------------
@@ -271,17 +269,7 @@ _BENCH_KEYS = {
 
 
 def parse_benchmark_spec(text: str) -> ExperimentSpec:
-    values = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"benchmark spec line {lineno}: expected 'key = value'")
-        key, raw = (p.strip() for p in line.split("=", 1))
-        if key not in _BENCH_KEYS:
-            raise ValueError(f"benchmark spec line {lineno}: unknown field {key!r}")
-        values[key] = _parse_value(key, raw, _BENCH_KEYS[key])
+    values = _read_key_values(text, _BENCH_KEYS, "benchmark spec")
     required = ["function", "n", "rsnr", "replicates", "degrees"]
     missing = [k for k in required if k not in values]
     if missing:

@@ -37,16 +37,15 @@ class Atom:
 
 @dataclass
 class DegreeComponent:
-    """All atoms of one degree plus that degree's Poisson rate and prior scale."""
+    """All atoms of one degree plus that degree's Poisson rate."""
 
     degree: int
     atoms: list[Atom]
     M: float
-    phi: float
 
     def __post_init__(self):
-        if self.M <= 0 or self.phi <= 0:
-            raise ValueError("M and phi must be positive")
+        if self.M <= 0:
+            raise ValueError("M must be positive")
         for a in self.atoms:
             if a.degree != self.degree:
                 raise ValueError(
@@ -60,15 +59,21 @@ class DegreeComponent:
 
 @dataclass
 class ModelState:
-    """One point in the variable-dimension parameter space."""
+    """One point in the variable-dimension parameter space.
+
+    `phi` is the coefficient prior scale, one value shared by every degree.
+    """
 
     beta0: float
     components: dict[int, DegreeComponent]
     sigma2: float
+    phi: float
 
     def __post_init__(self):
         if self.sigma2 <= 0:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
+        if self.phi <= 0:
+            raise ValueError(f"phi must be positive, got {self.phi}")
 
     def component(self, k: int) -> DegreeComponent:
         return self.components[k]
@@ -191,7 +196,7 @@ def atom_log_prior(atom: Atom, phi: float, domain: tuple[float, float]) -> float
 
 
 def coefficient_scale(data: Dataset) -> float:
-    """phi_k = half the observed response range, shared by every degree."""
+    """phi = half the observed response range, shared by every degree."""
     spread = float(data.y.max() - data.y.min())
     if spread <= 0:
         raise DegenerateDataError(
@@ -218,6 +223,6 @@ def init_state(data: Dataset, hyper: Hyperparams,
         M = max(M, 1e-300)
         J = int(rng.poisson(M))
         atoms = [sample_atom(k, phi, data.domain, rng) for _ in range(J)]
-        components[k] = DegreeComponent(degree=k, atoms=atoms, M=M, phi=phi)
+        components[k] = DegreeComponent(degree=k, atoms=atoms, M=M)
     sigma2 = sample_sigma2_prior(hyper, rng)
-    return ModelState(beta0=beta0, components=components, sigma2=sigma2)
+    return ModelState(beta0=beta0, components=components, sigma2=sigma2, phi=phi)

@@ -9,9 +9,14 @@ neighbors, an interval identical for the forward and reverse moves, so its
 acceptance ratio is the bare likelihood ratio; the relocated atom's
 coefficient is then re-drawn from its Normal full conditional.
 
-Likelihoods are evaluated incrementally against cached fitted values; a
-full-recompute mode rebuilds the fit from scratch at every evaluation and
-is cross-checked in tests.
+`Chain` is the only move kernel. Every move evaluates its likelihood ratio
+incrementally from cached basis columns and fitted values, and the
+birth/death ratios come from `birth_ratio`/`death_ratio`, which the
+full-likelihood oracles `birth_log_ratio`/`death_log_ratio` share. A
+prior-only chain is the same chain fitted to no observations: every
+likelihood ratio is 0 and each Gibbs conditional is its prior. A
+full-recompute chain rebuilds the cache from its atoms before each residual
+is read; tests check it against the incremental chain.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from .model import (
     init_state,
     log_likelihood,
     sample_atom,
-    sample_sigma2_prior,
 )
 
 BIRTH, DEATH, RELOCATE = "birth", "death", "relocate"
@@ -41,6 +45,10 @@ _TINY = 1e-300
 
 def _log(x: float) -> float:
     return math.log(x) if x > 0 else -math.inf
+
+
+def _rss(resid: np.ndarray) -> float:
+    return float(resid @ resid)
 
 
 @dataclass(frozen=True)
@@ -107,63 +115,71 @@ def choose_move(hyper: Hyperparams, J_k: int, rng: np.random.Generator) -> str:
 
 
 class Chain:
-    """Mutable sampler state with cached basis columns and fitted values."""
+    """Mutable sampler state with cached basis columns and fitted values.
+
+    The chain fits its own `x`/`y`: the data's, or none of them when
+    `prior_only`. The knot domain is the data's either way, and so are
+    `phi` and `beta0` when the chain starts from `init_state`.
+    """
 
     def __init__(self, data: Dataset, hyper: Hyperparams, rng: np.random.Generator,
                  state: ModelState | None = None, prior_only: bool = False,
                  full_recompute: bool = False):
-        self.data = data
         self.hyper = hyper
         self.rng = rng
-        self.prior_only = prior_only
+        self.domain = data.domain
         self.full_recompute = full_recompute
+        n = 0 if prior_only else data.n
+        self.x, self.y = data.x[:n], data.y[:n]
         if state is None:
             state = init_state(data, hyper, rng)
         self.beta0 = state.beta0
         self.sigma2 = state.sigma2
-        self.atoms: dict[int, list[Atom]] = {}
-        self.M: dict[int, float] = {}
-        self.phi: dict[int, float] = {}
-        for k, comp in state.components.items():
-            self.atoms[k] = list(comp.atoms)
-            self.M[k] = comp.M
-            self.phi[k] = comp.phi
+        self.phi = state.phi
+        self.atoms: dict[int, list[Atom]] = {
+            k: list(comp.atoms) for k, comp in state.components.items()}
+        self.M: dict[int, float] = {k: comp.M for k, comp in state.components.items()}
         if set(self.atoms) != set(hyper.degrees):
             raise ValueError("state degrees do not match hyperparameter degrees")
-        self.cols: dict[int, list[np.ndarray]] = {}
-        self.fitted = None
-        if not prior_only:
-            self._rebuild_cache()
+        self._rebuild_cache()
 
     # ---- caches -----------------------------------------------------------
 
     def _col(self, knots, k) -> np.ndarray:
-        return basis_values(knots, k, self.data.x)
+        return basis_values(knots, k, self.x)
 
     def _rebuild_cache(self):
-        self.cols = {
+        self.cols: dict[int, list[np.ndarray]] = {
             k: [self._col(a.knots.knots, k) for a in atoms]
             for k, atoms in self.atoms.items()
         }
-        fitted = np.full(self.data.n, self.beta0)
+        fitted = np.full(len(self.x), self.beta0)
         for k, atoms in self.atoms.items():
             for a, col in zip(atoms, self.cols[k]):
                 fitted += a.beta * col
         self.fitted = fitted
 
-    def _refresh(self):
-        if self.full_recompute and not self.prior_only:
+    def _resid(self) -> np.ndarray:
+        """y - fitted; a full-recompute chain first rebuilds the cache."""
+        if self.full_recompute:
             self._rebuild_cache()
+        return self.y - self.fitted
 
-    def _rss(self, resid: np.ndarray) -> float:
-        return float(resid @ resid)
+    def _llr(self, delta: np.ndarray) -> float:
+        """Log-likelihood ratio of adding `delta` to the fitted values."""
+        resid = self._resid()
+        return -(_rss(resid - delta) - _rss(resid)) / (2.0 * self.sigma2)
+
+    def _accept(self, log_ratio: float) -> bool:
+        return math.log(self.rng.random() + _TINY) < log_ratio
 
     def snapshot(self) -> ModelState:
         components = {
-            k: DegreeComponent(degree=k, atoms=list(atoms), M=self.M[k], phi=self.phi[k])
+            k: DegreeComponent(degree=k, atoms=list(atoms), M=self.M[k])
             for k, atoms in self.atoms.items()
         }
-        return ModelState(beta0=self.beta0, components=components, sigma2=self.sigma2)
+        return ModelState(beta0=self.beta0, components=components,
+                          sigma2=self.sigma2, phi=self.phi)
 
     def mean_on(self, grid: np.ndarray) -> np.ndarray:
         out = np.full(len(grid), self.beta0)
@@ -175,52 +191,31 @@ class Chain:
     # ---- reversible-jump moves -------------------------------------------
 
     def birth(self, k: int) -> tuple[bool, float]:
-        self._refresh()
-        atoms = self.atoms[k]
-        J = len(atoms)
-        atom = sample_atom(k, self.phi[k], self.data.domain, self.rng)
-        pb, pd, _ = self.hyper.move_probs
-        proposal_pb = 1.0 if J == 0 else pb
-        if self.prior_only:
-            llr, col = 0.0, None
-        else:
-            col = self._col(atom.knots.knots, k)
-            resid = self.data.y - self.fitted
-            llr = -(self._rss(resid - atom.beta * col) - self._rss(resid)) \
-                / (2.0 * self.sigma2)
-        log_ratio = llr + _log(self.M[k]) - math.log(J + 1) + _log(pd) - _log(proposal_pb)
-        accepted = math.log(self.rng.random() + _TINY) < log_ratio
+        J = len(self.atoms[k])
+        atom = sample_atom(k, self.phi, self.domain, self.rng)
+        col = self._col(atom.knots.knots, k)
+        delta = atom.beta * col
+        log_ratio = birth_ratio(self._llr(delta), self.M[k], J, self.hyper)
+        accepted = self._accept(log_ratio)
         if accepted:
-            atoms.append(atom)
-            if not self.prior_only:
-                self.cols[k].append(col)
-                self.fitted = self.fitted + atom.beta * col
+            self.atoms[k].append(atom)
+            self.cols[k].append(col)
+            self.fitted = self.fitted + delta
         return accepted, log_ratio
 
     def death(self, k: int) -> tuple[bool, float]:
-        self._refresh()
         atoms = self.atoms[k]
         J = len(atoms)
         if J == 0:
             raise RuntimeError("death move attempted on an empty component")
         r = int(self.rng.integers(J))
-        atom = atoms[r]
-        pb, pd, _ = self.hyper.move_probs
-        reverse_pb = 1.0 if J == 1 else pb
-        if self.prior_only:
-            llr = 0.0
-        else:
-            col = self.cols[k][r]
-            resid = self.data.y - self.fitted
-            llr = -(self._rss(resid + atom.beta * col) - self._rss(resid)) \
-                / (2.0 * self.sigma2)
-        log_ratio = llr + math.log(J) - _log(self.M[k]) + _log(reverse_pb) - _log(pd)
-        accepted = math.log(self.rng.random() + _TINY) < log_ratio
+        delta = -atoms[r].beta * self.cols[k][r]
+        log_ratio = death_ratio(self._llr(delta), self.M[k], J, self.hyper)
+        accepted = self._accept(log_ratio)
         if accepted:
             atoms.pop(r)
-            if not self.prior_only:
-                col = self.cols[k].pop(r)
-                self.fitted = self.fitted - atom.beta * col
+            self.cols[k].pop(r)
+            self.fitted = self.fitted + delta
         return accepted, log_ratio
 
     def relocate(self, k: int) -> list[bool]:
@@ -229,37 +224,23 @@ class Chain:
         if J == 0:
             raise RuntimeError("relocation attempted on an empty component")
         r = int(self.rng.integers(J))
-        atom = atoms[r]
-        beta = atom.beta
-        knots = list(atom.knots.knots)
-        lo_bound, hi_bound = self.data.domain
+        beta = atoms[r].beta
+        knots = list(atoms[r].knots.knots)
+        lo_bound, hi_bound = self.domain
         flags = []
-        col = None if self.prior_only else self.cols[k][r]
         for i in range(k + 2):
-            self._refresh()
-            if self.full_recompute and not self.prior_only:
-                col = self.cols[k][r]
             lo = knots[i - 1] if i > 0 else lo_bound
             hi = knots[i + 1] if i < k + 1 else hi_bound
-            prop = float(self.rng.uniform(lo, hi))
             candidate = knots.copy()
-            candidate[i] = prop
-            if self.prior_only:
-                llr = 0.0
-                new_col = None
-            else:
-                new_col = self._col(candidate, k)
-                resid = self.data.y - self.fitted
-                llr = -(self._rss(resid + beta * (col - new_col)) - self._rss(resid)) \
-                    / (2.0 * self.sigma2)
-            accepted = math.log(self.rng.random() + _TINY) < llr
+            candidate[i] = float(self.rng.uniform(lo, hi))
+            new_col = self._col(candidate, k)
+            delta = beta * (new_col - self.cols[k][r])
+            accepted = self._accept(self._llr(delta))
             if accepted:
-                knots[i] = prop
+                knots = candidate
                 atoms[r] = Atom(knots=KnotVector(degree=k, knots=tuple(knots)), beta=beta)
-                if not self.prior_only:
-                    self.fitted = self.fitted + beta * (new_col - col)
-                    col = new_col
-                    self.cols[k][r] = new_col
+                self.cols[k][r] = new_col
+                self.fitted = self.fitted + delta
             flags.append(accepted)
         self.gibbs_beta(k, r)
         return flags
@@ -267,19 +248,14 @@ class Chain:
     # ---- Gibbs updates ----------------------------------------------------
 
     def gibbs_beta(self, k: int, idx: int):
-        self._refresh()
+        resid = self._resid()
         atom = self.atoms[k][idx]
-        phi = self.phi[k]
-        if self.prior_only:
-            new_beta = float(self.rng.normal(0.0, phi))
-        else:
-            col = self.cols[k][idx]
-            ss = float(col @ col)
-            var = 1.0 / (ss / self.sigma2 + 1.0 / phi**2)
-            partial = (self.data.y - self.fitted) + atom.beta * col
-            mean = var * float(partial @ col) / self.sigma2
-            new_beta = float(self.rng.normal(mean, math.sqrt(var)))
-            self.fitted = self.fitted + (new_beta - atom.beta) * col
+        col = self.cols[k][idx]
+        var = 1.0 / (float(col @ col) / self.sigma2 + 1.0 / self.phi**2)
+        partial = resid + atom.beta * col
+        mean = var * float(partial @ col) / self.sigma2
+        new_beta = float(self.rng.normal(mean, math.sqrt(var)))
+        self.fitted = self.fitted + (new_beta - atom.beta) * col
         self.atoms[k][idx] = dataclasses.replace(atom, beta=new_beta)
 
     def gibbs_M(self, k: int):
@@ -288,14 +264,9 @@ class Chain:
         self.M[k] = max(float(self.rng.gamma(a, 1.0 / b)), _TINY)
 
     def gibbs_sigma2(self):
-        if self.prior_only:
-            self.sigma2 = sample_sigma2_prior(self.hyper, self.rng)
-            return
-        self._refresh()
-        resid = self.data.y - self.fitted
-        r, R, n = self.hyper.r, self.hyper.R, self.data.n
-        r0 = r + n
-        R0 = (self._rss(resid) + r * R) / r0
+        r, R = self.hyper.r, self.hyper.R
+        r0 = r + len(self.y)
+        R0 = (_rss(self._resid()) + r * R) / r0
         g = self.rng.gamma(r0 / 2.0, 2.0 / max(r0 * R0, _TINY))
         self.sigma2 = 1.0 / max(g, _TINY)
 
@@ -328,84 +299,46 @@ class Chain:
                     self.gibbs_beta(k, idx)
 
 
-# ---- functional surface used by tests and callers -------------------------
+# ---- acceptance ratios ----------------------------------------------------
+
+
+def birth_ratio(llr: float, M: float, J: int, hyper: Hyperparams) -> float:
+    """Log acceptance ratio of a prior-proposed birth into a component of J atoms."""
+    pb, pd, _ = hyper.move_probs
+    proposal_pb = 1.0 if J == 0 else pb
+    return llr + _log(M) - math.log(J + 1) + _log(pd) - _log(proposal_pb)
+
+
+def death_ratio(llr: float, M: float, J: int, hyper: Hyperparams) -> float:
+    """Log acceptance ratio of removing one of a component's J atoms."""
+    pb, pd, _ = hyper.move_probs
+    reverse_pb = 1.0 if J == 1 else pb
+    return llr + math.log(J) - _log(M) + _log(reverse_pb) - _log(pd)
 
 
 def birth_log_ratio(state: ModelState, k: int, atom: Atom, data: Dataset,
                     hyper: Hyperparams) -> float:
-    """Log acceptance ratio for appending `atom` to component k (prior proposal)."""
+    """Full-likelihood oracle of `Chain.birth`'s log ratio for appending `atom`."""
     comp = state.components[k]
-    J = comp.count
-    pb, pd, _ = hyper.move_probs
-    proposal_pb = 1.0 if J == 0 else pb
     proposed = _with_atoms(state, k, comp.atoms + [atom])
     llr = log_likelihood(proposed, data) - log_likelihood(state, data)
-    return llr + _log(comp.M) - math.log(J + 1) + _log(pd) - _log(proposal_pb)
+    return birth_ratio(llr, comp.M, comp.count, hyper)
 
 
 def death_log_ratio(state: ModelState, k: int, r: int, data: Dataset,
                     hyper: Hyperparams) -> float:
-    """Log acceptance ratio for removing atom index r from component k."""
+    """Full-likelihood oracle of `Chain.death`'s log ratio for removing atom r."""
     comp = state.components[k]
-    J = comp.count
-    if J == 0:
+    if comp.count == 0:
         raise RuntimeError("death ratio undefined for an empty component")
-    pb, pd, _ = hyper.move_probs
-    reverse_pb = 1.0 if J == 1 else pb
-    remaining = comp.atoms[:r] + comp.atoms[r + 1:]
-    proposed = _with_atoms(state, k, remaining)
+    proposed = _with_atoms(state, k, comp.atoms[:r] + comp.atoms[r + 1:])
     llr = log_likelihood(proposed, data) - log_likelihood(state, data)
-    return llr + math.log(J) - _log(comp.M) + _log(reverse_pb) - _log(pd)
+    return death_ratio(llr, comp.M, comp.count, hyper)
 
 
 def _with_atoms(state: ModelState, k: int, atoms: list[Atom]) -> ModelState:
-    components = dict(state.components)
-    old = components[k]
-    components[k] = DegreeComponent(degree=k, atoms=list(atoms), M=old.M, phi=old.phi)
-    return ModelState(beta0=state.beta0, components=components, sigma2=state.sigma2)
-
-
-def _chain_for(state, data, hyper, rng, **kwargs) -> Chain:
-    return Chain(data, hyper, rng, state=state, **kwargs)
-
-
-def birth_step(state, k, data, hyper, rng, **kwargs):
-    ch = _chain_for(state, data, hyper, rng, **kwargs)
-    accepted, log_ratio = ch.birth(k)
-    return ch.snapshot(), accepted, log_ratio
-
-
-def death_step(state, k, data, hyper, rng, **kwargs):
-    ch = _chain_for(state, data, hyper, rng, **kwargs)
-    accepted, log_ratio = ch.death(k)
-    return ch.snapshot(), accepted, log_ratio
-
-
-def relocation_step(state, k, data, hyper, rng, **kwargs):
-    ch = _chain_for(state, data, hyper, rng, **kwargs)
-    flags = ch.relocate(k)
-    return ch.snapshot(), flags
-
-
-def gibbs_beta(state, k, atom_index, data, rng, hyper=None, **kwargs):
-    hyper = hyper or Hyperparams.make(tuple(state.components))
-    ch = _chain_for(state, data, hyper, rng, **kwargs)
-    ch.gibbs_beta(k, atom_index)
-    return ch.snapshot()
-
-
-def gibbs_M(component: DegreeComponent, hyper: Hyperparams,
-            rng: np.random.Generator) -> float:
-    a = hyper.a_gamma[component.degree] + component.count
-    b = hyper.b_gamma[component.degree] + 1.0
-    return max(float(rng.gamma(a, 1.0 / b)), _TINY)
-
-
-def gibbs_sigma2(state: ModelState, data: Dataset, hyper: Hyperparams,
-                 rng: np.random.Generator) -> float:
-    ch = _chain_for(state, data, hyper, rng)
-    ch.gibbs_sigma2()
-    return ch.sigma2
+    comp = dataclasses.replace(state.components[k], atoms=list(atoms))
+    return dataclasses.replace(state, components={**state.components, k: comp})
 
 
 def run_chain(data: Dataset, hyper: Hyperparams, cfg: ChainConfig,

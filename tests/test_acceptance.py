@@ -28,8 +28,6 @@ from levyspline.sampler import (
     ChainConfig,
     birth_log_ratio,
     death_log_ratio,
-    gibbs_M,
-    gibbs_sigma2,
     run_chain,
 )
 from levyspline.signals import generate_dataset
@@ -198,9 +196,9 @@ def _fd(kv, x, order, h):
 
 
 def _make_state(atoms_by_k, sigma2=1.0, M=1.0, phi=1.0):
-    comps = {k: DegreeComponent(degree=k, atoms=list(v), M=M, phi=phi)
+    comps = {k: DegreeComponent(degree=k, atoms=list(v), M=M)
              for k, v in atoms_by_k.items()}
-    return ModelState(beta0=0.0, components=comps, sigma2=sigma2)
+    return ModelState(beta0=0.0, components=comps, sigma2=sigma2, phi=phi)
 
 
 class TestSamplerCorrectness:
@@ -255,8 +253,12 @@ class TestSamplerCorrectness:
 
         # Poisson-rate conditional: Ga(a + J, rate b + 1)
         atoms = [sample_atom(0, 1.0, data.domain, rng) for _ in range(4)]
-        comp = DegreeComponent(degree=0, atoms=atoms, M=1.0, phi=1.0)
-        draws = np.asarray([gibbs_M(comp, hyper, rng) for _ in range(n_draws)])
+        chain = Chain(data, hyper, rng, state=_make_state({0: atoms}))
+        draws = []
+        for _ in range(n_draws):
+            chain.gibbs_M(0)
+            draws.append(chain.M[0])
+        draws = np.asarray(draws)
         shape, rate = 2.0 + 4, 3.0 + 1.0
         ok_M = abs(draws.mean() - shape / rate) <= \
             3 * math.sqrt(shape / rate**2 / n_draws)
@@ -264,12 +266,14 @@ class TestSamplerCorrectness:
         details.append(f"M: mean within 3se {ok_M}, KS p={p_M:.3f}")
 
         # variance conditional: IG((r+n)/2, (rss + rR)/2)
-        state = _make_state({0: []})
-        state.beta0 = 0.0
+        chain = Chain(data, hyper, rng, state=_make_state({0: []}))
         rss = float(data.y @ data.y)
         a_ig, b_ig = (2.0 + 64) / 2, (rss + 2.0 * 1.0) / 2
-        draws = np.asarray([gibbs_sigma2(state, data, hyper, rng)
-                            for _ in range(n_draws)])
+        draws = []
+        for _ in range(n_draws):
+            chain.gibbs_sigma2()
+            draws.append(chain.sigma2)
+        draws = np.asarray(draws)
         mean_ig = b_ig / (a_ig - 1)
         sd_ig = math.sqrt(b_ig**2 / ((a_ig - 1) ** 2 * (a_ig - 2)))
         ok_s2 = abs(draws.mean() - mean_ig) <= 3 * sd_ig / math.sqrt(n_draws)

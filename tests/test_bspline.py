@@ -216,10 +216,10 @@ class TestEvalMean:
         for a in atoms:
             by_k.setdefault(a.degree, []).append(a)
         comps = {
-            k: DegreeComponent(degree=k, atoms=v, M=1.0, phi=1.0)
+            k: DegreeComponent(degree=k, atoms=v, M=1.0)
             for k, v in by_k.items()
         }
-        return ModelState(beta0=beta0, components=comps, sigma2=1.0)
+        return ModelState(beta0=beta0, components=comps, sigma2=1.0, phi=1.0)
 
     def test_empty_sum(self):
         state = self._state(2.5, [])

@@ -29,20 +29,23 @@ def make_state(beta0, atoms, sigma2=1.0, degrees=None, phi=1.0, M=1.0):
         by_k.setdefault(a.degree, []).append(a)
     for k in degrees or ():
         by_k.setdefault(k, [])
-    comps = {k: DegreeComponent(degree=k, atoms=v, M=M, phi=phi)
-             for k, v in by_k.items()}
-    return ModelState(beta0=beta0, components=comps, sigma2=sigma2)
+    comps = {k: DegreeComponent(degree=k, atoms=v, M=M) for k, v in by_k.items()}
+    return ModelState(beta0=beta0, components=comps, sigma2=sigma2, phi=phi)
 
 
 class TestTypes:
     def test_atom_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
             DegreeComponent(degree=1, atoms=[Atom(KnotVector(0, (0, 1)), 1.0)],
-                            M=1.0, phi=1.0)
+                            M=1.0)
 
     def test_nonpositive_sigma2_rejected(self):
         with pytest.raises(ValueError):
-            ModelState(beta0=0.0, components={}, sigma2=0.0)
+            ModelState(beta0=0.0, components={}, sigma2=0.0, phi=1.0)
+
+    def test_nonpositive_phi_rejected(self):
+        with pytest.raises(ValueError, match="phi must be positive"):
+            ModelState(beta0=0.0, components={}, sigma2=1.0, phi=0.0)
 
     def test_hyperparams_move_probs_must_sum_to_one(self):
         with pytest.raises(ValueError):
@@ -171,8 +174,7 @@ class TestInitState:
         hyper = Hyperparams.make((0, 1))
         state = init_state(self._data(), hyper, np.random.default_rng(3))
         assert state.beta0 == approx(2.0)
-        for comp in state.components.values():
-            assert comp.phi == approx(1.0)
+        assert state.phi == approx(1.0)
 
     def test_component_degrees_match(self):
         hyper = Hyperparams.make((0, 2, 3))

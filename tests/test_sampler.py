@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -20,14 +21,9 @@ from levyspline.sampler import (
     ChainConfig,
     ChainOutput,
     birth_log_ratio,
-    birth_step,
     choose_move,
     death_log_ratio,
-    death_step,
-    gibbs_M,
-    gibbs_sigma2,
     posterior_curve,
-    relocation_step,
     run_chain,
 )
 from levyspline.signals import generate_dataset
@@ -38,9 +34,9 @@ def flat_data(n=5, value=0.0):
 
 
 def make_state(atoms_by_k, sigma2=1.0, beta0=0.0, M=1.0, phi=1.0):
-    comps = {k: DegreeComponent(degree=k, atoms=list(v), M=M, phi=phi)
+    comps = {k: DegreeComponent(degree=k, atoms=list(v), M=M)
              for k, v in atoms_by_k.items()}
-    return ModelState(beta0=beta0, components=comps, sigma2=sigma2)
+    return ModelState(beta0=beta0, components=comps, sigma2=sigma2, phi=phi)
 
 
 HYPER0 = Hyperparams.make((0,))
@@ -95,8 +91,8 @@ class TestBirthDeathRatios:
         state = make_state({0: []})
         atom = Atom(KnotVector(0, (0.0, 1.0)), 100.0)
         assert birth_log_ratio(state, 0, atom, data, HYPER0) > 0
-        _, accepted, lr = birth_step(state, 0, data, HYPER0,
-                                     np.random.default_rng(0))
+        chain = Chain(data, HYPER0, np.random.default_rng(0), state=state)
+        _, lr = chain.birth(0)
         assert math.isfinite(lr)
 
     def test_reciprocity_random_states(self):
@@ -119,12 +115,39 @@ class TestBirthDeathRatios:
             down = death_log_ratio(post, k, J, data, hyper)
             assert up + down == approx(0.0, abs=1e-10)
 
+    def test_chain_ratios_match_full_likelihood_oracle(self):
+        # Chain.birth/death run the incremental likelihood; a clone of the
+        # generator draws the same atom (birth) or index (death) for the oracle
+        rng = np.random.default_rng(43)
+        data = generate_dataset("heavisine", 48, 3.0, seed=1)
+        hyper = Hyperparams.make((0, 1, 2, 3))
+        worst, boundary = 0.0, 0
+        for _ in range(500):
+            k = int(rng.integers(0, 4))
+            J = int(rng.integers(0, 5))  # J = 0 and J = 1 are the forced-birth boundaries
+            boundary += J <= 1
+            atoms = {kk: [] for kk in range(4)}
+            atoms[k] = [sample_atom(k, 1.0, data.domain, rng) for _ in range(J)]
+            state = make_state(atoms, sigma2=float(rng.uniform(0.05, 3.0)),
+                               M=float(rng.uniform(0.1, 6.0)))
+            clone = copy.deepcopy(rng)
+            _, chain_lr = Chain(data, hyper, rng, state=state).birth(k)
+            atom = sample_atom(k, state.phi, data.domain, clone)
+            worst = max(worst, abs(chain_lr - birth_log_ratio(state, k, atom, data, hyper)))
+            if J > 0:
+                clone = copy.deepcopy(rng)
+                _, chain_lr = Chain(data, hyper, rng, state=state).death(k)
+                r = int(clone.integers(J))
+                worst = max(worst, abs(chain_lr - death_log_ratio(state, k, r, data, hyper)))
+        assert boundary > 100
+        assert worst <= 1e-10
+
     def test_death_on_empty_component_is_an_error(self):
         state = make_state({0: []})
         with pytest.raises(RuntimeError):
             death_log_ratio(state, 0, 0, flat_data(), HYPER0)
         with pytest.raises(RuntimeError):
-            death_step(state, 0, flat_data(), HYPER0, np.random.default_rng(0))
+            Chain(flat_data(), HYPER0, np.random.default_rng(0), state=state).death(0)
 
     def test_death_unsupported_atom_has_unit_lik_ratio(self):
         # atom supported strictly between data points: residuals unchanged
@@ -145,10 +168,10 @@ class TestBirthDeathRatios:
         n = 20_000
         rng = np.random.default_rng(3)
         for _ in range(n):
-            state = make_state({0: list(atoms)}, M=3.0)
-            out, accepted, _ = death_step(state, 0, data, HYPER0, rng)
+            chain = Chain(data, HYPER0, rng, state=make_state({0: list(atoms)}, M=3.0))
+            accepted, _ = chain.death(0)
             assert accepted
-            kept = [a.knots.knots for a in out.components[0].atoms]
+            kept = [a.knots.knots for a in chain.atoms[0]]
             removed = [i for i, a in enumerate(atoms)
                        if kept.count(a.knots.knots) == 0][0]
             counts[removed] += 1
@@ -161,10 +184,12 @@ class TestBirthDeathRatios:
         rng = np.random.default_rng(4)
         state = make_state({0: [sample_atom(0, 1.0, data.domain, rng)
                                 for _ in range(3)]})
-        out, accepted, _ = birth_step(state, 0, data, HYPER0, rng)
-        assert out.components[0].count == 3 + int(accepted)
-        out2, accepted2, _ = death_step(state, 0, data, HYPER0, rng)
-        assert out2.components[0].count == 3 - int(accepted2)
+        chain = Chain(data, HYPER0, rng, state=state)
+        accepted, _ = chain.birth(0)
+        assert len(chain.atoms[0]) == 3 + int(accepted)
+        chain = Chain(data, HYPER0, rng, state=state)
+        accepted, _ = chain.death(0)
+        assert len(chain.atoms[0]) == 3 - int(accepted)
 
 
 class TestRelocation:
@@ -174,11 +199,12 @@ class TestRelocation:
         hyper = Hyperparams.make((2,))
         state = make_state({2: [sample_atom(2, 1.0, data.domain, rng)
                                 for _ in range(2)]}, sigma2=0.5)
+        chain = Chain(data, hyper, rng, state=state)
         for _ in range(300):
-            state, flags = relocation_step(state, 2, data, hyper, rng)
+            flags = chain.relocate(2)
             assert len(flags) == 4
-            assert state.components[2].count == 2
-            for a in state.components[2].atoms:
+            assert len(chain.atoms[2]) == 2
+            for a in chain.atoms[2]:
                 ks = a.knots.knots
                 assert all(u <= v for u, v in zip(ks, ks[1:]))
                 assert data.domain[0] <= ks[0] and ks[-1] <= data.domain[1]
@@ -188,24 +214,21 @@ class TestRelocation:
         data = flat_data(9)
         rng = np.random.default_rng(6)
         hyper = Hyperparams.make((1,))
-        state = make_state({1: [Atom(KnotVector(1, (0.2, 0.5, 0.8)), 0.0)]})
+        knots = KnotVector(1, (0.2, 0.5, 0.8))
         for _ in range(50):
-            state, flags = relocation_step(state, 1, data, hyper, rng)
-            assert all(flags)
-            # gibbs refresh keeps beta near its prior, reset for the next round
-            atoms = state.components[1].atoms
-            state.components[1].atoms = [
-                Atom(atoms[0].knots, 0.0)]
+            chain = Chain(data, hyper, rng, state=make_state({1: [Atom(knots, 0.0)]}))
+            assert all(chain.relocate(1))
+            # the Gibbs refresh draws a new beta: restart from beta = 0
+            knots = chain.atoms[1][0].knots
 
     def test_prior_only_always_accepts(self):
         data = flat_data(9)
         rng = np.random.default_rng(7)
         hyper = Hyperparams.make((0,))
         state = make_state({0: [Atom(KnotVector(0, (0.3, 0.6)), 1.0)]})
+        chain = Chain(data, hyper, rng, state=state, prior_only=True)
         for _ in range(50):
-            state, flags = relocation_step(state, 0, data, hyper, rng,
-                                           prior_only=True)
-            assert all(flags)
+            assert all(chain.relocate(0))
 
     def test_knots_find_the_jump_locations(self):
         # single-jump data; compare the chain's knot pair with a brute-force
@@ -290,13 +313,30 @@ class TestGibbsBeta:
         assert st.kstest(draws, "norm", args=(mu, math.sqrt(var))).pvalue > 0.01
 
 
+def gibbs_M_draws(atoms, hyper, rng, n):
+    chain = Chain(flat_data(), hyper, rng, state=make_state({0: atoms}))
+    draws = np.empty(n)
+    for i in range(n):
+        chain.gibbs_M(0)
+        draws[i] = chain.M[0]
+    return draws
+
+
+def gibbs_sigma2_draws(state, data, hyper, rng, n):
+    chain = Chain(data, hyper, rng, state=state)
+    draws = np.empty(n)
+    for i in range(n):
+        chain.gibbs_sigma2()
+        draws[i] = chain.sigma2
+    return draws
+
+
 class TestGibbsM:
     def test_no_atoms_conjugate(self):
-        comp = DegreeComponent(degree=0, atoms=[], M=1.0, phi=1.0)
         hyper = Hyperparams.make((0,), a_gamma=1.0, b_gamma=1.0)
         rng = np.random.default_rng(12)
         n = 100_000
-        draws = np.array([gibbs_M(comp, hyper, rng) for _ in range(n)])
+        draws = gibbs_M_draws([], hyper, rng, n)
         # Ga(1, rate 2): mean 1/2, var 1/4
         assert draws.mean() == approx(0.5, abs=3 * 0.5 / math.sqrt(n))
         assert st.kstest(draws, "gamma", args=(1.0, 0, 0.5)).pvalue > 0.01
@@ -304,10 +344,9 @@ class TestGibbsM:
     def test_seven_atoms_conjugate(self):
         rng = np.random.default_rng(13)
         atoms = [sample_atom(0, 1.0, (0.0, 1.0), rng) for _ in range(7)]
-        comp = DegreeComponent(degree=0, atoms=atoms, M=1.0, phi=1.0)
         hyper = Hyperparams.make((0,), a_gamma=1.0, b_gamma=1.0)
         n = 100_000
-        draws = np.array([gibbs_M(comp, hyper, rng) for _ in range(n)])
+        draws = gibbs_M_draws(atoms, hyper, rng, n)
         # Ga(8, rate 2): mean 4, variance 2
         assert draws.mean() == approx(4.0, abs=3 * math.sqrt(2.0 / n))
 
@@ -328,8 +367,7 @@ class TestGibbsSigma2:
         hyper = Hyperparams.make((0,), r=2.0, R=1.0)
         state = make_state({0: []}, beta0=3.0, sigma2=1.0)
         rng = np.random.default_rng(14)
-        draws = np.array([gibbs_sigma2(state, data, hyper, rng)
-                          for _ in range(10_000)])
+        draws = gibbs_sigma2_draws(state, data, hyper, rng, 10_000)
         mean = 1.0 / (65 - 1)  # IG(shape 65, scale 1)
         sd = math.sqrt(1.0 / ((65 - 1) ** 2 * (65 - 2)))
         assert draws.mean() == approx(mean, abs=3 * sd / 100)
@@ -345,8 +383,7 @@ class TestGibbsSigma2:
         scale = (float(resid @ resid) + 2.0 * 1.0) / 2
         rng = np.random.default_rng(15)
         n = 100_000
-        draws = np.array([gibbs_sigma2(state, data, hyper, rng)
-                          for _ in range(n)])
+        draws = gibbs_sigma2_draws(state, data, hyper, rng, n)
         mean = scale / (shape - 1)
         sd = math.sqrt(scale**2 / ((shape - 1) ** 2 * (shape - 2)))
         assert draws.mean() == approx(mean, abs=3 * sd / math.sqrt(n))
