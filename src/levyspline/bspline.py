@@ -9,6 +9,20 @@ but floating-point ties can still occur).
 Support is half-open [xi_1, xi_{k+2}), propagated from the degree-0
 indicator through the recursion. A knot vector whose right end coincides
 with the domain maximum therefore evaluates to 0 exactly at that point.
+
+`basis_values` runs each level of the triangle as one 2-D numpy expression
+over all of the level's basis functions (rows) and points (columns); the
+per-call cost is the number of numpy calls, not the arithmetic, at the
+sizes the sampler uses. The fast pass multiplies every weight by its child
+basis unmasked. Where a child is 0 the product is 0 unless the weight is
+inf or nan (0/0 from coincident knots, overflow from subnormal spans or
+from |x| near the float limit), and such a product spreads to the result
+through every later level. So a result with a finite sum is exactly the
+masked one, bit for bit; otherwise the triangle is recomputed with each
+term masked to 0 where its child basis is 0. The recompute is a private
+helper, not a second `basis_values` call, so one evaluated column is one
+`basis_values` call: the benchmark's tracer checks each chain's call count
+against the count its moves imply.
 """
 
 from __future__ import annotations
@@ -48,28 +62,41 @@ def basis_values(knots, degree: int, x) -> np.ndarray:
     """Vectorized Cox-de Boor triangle on one knot vector.
 
     `knots` is a non-descending sequence of length degree + 2; `x` is an
-    array of evaluation points. Returns B_degree(x; knots).
+    array of evaluation points. Returns B_degree(x; knots) in the shape of
+    `x` (shape (1,) for a scalar).
     """
     t = np.asarray(knots, dtype=float)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    # degree-0 layer: half-open indicators on consecutive knot pairs
-    b = [((t[i] <= x) & (x < t[i + 1])).astype(float) for i in range(degree + 1)]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for d in range(1, degree + 1):
-            for i in range(degree + 1 - d):
-                left_den = t[i + d] - t[i]
-                right_den = t[i + d + 1] - t[i + 1]
-                acc = np.zeros_like(x)
-                # mask by the child supports so 0/0 (and near-degenerate
-                # subnormal spans) contribute exactly 0
-                if left_den > 0.0:
-                    acc += np.where(b[i] != 0.0, (x - t[i]) / left_den * b[i], 0.0)
-                if right_den > 0.0:
-                    acc += np.where(
-                        b[i + 1] != 0.0, (t[i + d + 1] - x) / right_den * b[i + 1], 0.0
-                    )
-                b[i] = acc
-    return b[0]
+    if degree == 0:
+        return ((t[0] <= x) & (x < t[1])).astype(float)
+    X = x.reshape(-1) - t[:, None]
+    with np.errstate(all="ignore"):
+        b = _triangle(t, X, degree, masked=False)
+        if not np.isfinite(b.sum()):
+            b = _triangle(t, X, degree, masked=True)
+    return b[0].reshape(x.shape)
+
+
+def _triangle(t, X, degree: int, masked: bool) -> np.ndarray:
+    """All levels of the Cox-de Boor triangle, one 2-D expression per level.
+
+    Row i of level d holds B_{i,d} on the points; `X[j]` is x - t[j]. The
+    right-hand weight (t[i+d+1] - x) / (t[i+d+1] - t[i+1]) is computed as
+    X[i+d+1] / (t[i+1] - t[i+d+1]): negating both operands is exact, so the
+    quotient is the same bits. With `masked`, a term whose child basis is 0
+    is 0 even when its weight is inf or nan.
+    """
+    S = X >= 0.0
+    b = (S[:-1] > S[1:]).astype(float)
+    for d in range(1, degree + 1):
+        m = degree + 1 - d
+        left = X[:m] / (t[d:d + m] - t[:m])[:, None] * b[:m]
+        right = X[d + 1:d + 1 + m] / (t[1:m + 1] - t[d + 1:d + 1 + m])[:, None] * b[1:]
+        if masked:
+            left = np.where(b[:m] != 0.0, left, 0.0)
+            right = np.where(b[1:] != 0.0, right, 0.0)
+        b = left + right
+    return b
 
 
 def eval_basis(kv: KnotVector, x: float) -> float:

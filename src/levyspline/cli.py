@@ -242,10 +242,27 @@ def _trace_summary(values) -> dict:
     v = np.asarray(values, dtype=float)
     return {
         "mean": float(v.mean()),
-        "sd": float(v.std(ddof=1)) if len(v) > 1 else 0.0,
+        "sd": _sd(v),
         "q025": float(np.quantile(v, 0.025)),
         "q975": float(np.quantile(v, 0.975)),
     }
+
+
+def _sd(v: np.ndarray) -> float:
+    """Sample standard deviation that stays finite when the squares overflow.
+
+    Prior-only sigma^2 draws reach 1e300, whose squares overflow. Only then
+    is the sd taken on v scaled by a power of two, which is exact, so every
+    summary that did not overflow keeps its bytes.
+    """
+    if len(v) < 2:
+        return 0.0
+    with np.errstate(over="ignore"):
+        sd = v.std(ddof=1)
+    if not np.isfinite(sd):
+        e = int(np.frexp(np.abs(v).max())[1])
+        sd = np.ldexp(np.ldexp(v, -e).std(ddof=1), e)
+    return float(sd)
 
 
 def _write_trace(path: str, out):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,64 @@ def quadrature_integral(kv, order=8):
         xs = 0.5 * (b - a) * nodes + 0.5 * (a + b)
         total += 0.5 * (b - a) * float(weights @ basis_values(kv.knots, kv.degree, xs))
     return total
+
+
+def _reference_basis(knots, degree, x):
+    """Independent oracle: Cox-de Boor one (level, index) pair at a time.
+
+    0/0 terms and terms whose child basis is 0 are masked to exactly 0.
+    """
+    t = np.asarray(knots, dtype=float)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    b = [((t[i] <= x) & (x < t[i + 1])).astype(float) for i in range(degree + 1)]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for d in range(1, degree + 1):
+            for i in range(degree + 1 - d):
+                left_den = t[i + d] - t[i]
+                right_den = t[i + d + 1] - t[i + 1]
+                acc = np.zeros_like(x)
+                if left_den > 0.0:
+                    acc += np.where(b[i] != 0.0, (x - t[i]) / left_den * b[i], 0.0)
+                if right_den > 0.0:
+                    acc += np.where(
+                        b[i + 1] != 0.0, (t[i + d + 1] - x) / right_den * b[i + 1], 0.0
+                    )
+                b[i] = acc
+    return b[0]
+
+
+def _oracle_cases(seed=2024, repeats=24):
+    """Knot vectors and point sets that stress the kernel's edge cases."""
+    rng = np.random.default_rng(seed)
+    for degree in range(4):
+        for n in (1, 7, 128, 512):
+            for kind in ("random", "on_grid", "coincident", "span_1e-289",
+                         "span_1e-300", "span_1e-310", "huge_x"):
+                for _ in range(repeats):
+                    x = np.sort(rng.uniform(-0.2, 1.2, n))
+                    t = np.sort(rng.uniform(0.0, 1.0, degree + 2))
+                    if kind == "on_grid":
+                        t = np.sort(rng.choice(x, degree + 2))
+                    elif kind == "coincident":
+                        i = int(rng.integers(0, degree + 1))
+                        t[i + 1] = t[i]
+                    elif kind.startswith("span_"):
+                        # t[i] = 0 so that t[i + 1] = span is representable
+                        span = float(kind[5:])
+                        i = int(rng.integers(0, degree + 1))
+                        t = t - t[i]
+                        t[i + 1] = span
+                        t = np.sort(t)
+                        x[: min(n, 3)] = (0.5 * span, span, -span)[: min(n, 3)]
+                    elif kind == "huge_x":
+                        x[rng.integers(0, n, 2)] = (1e300, -1.7e308)
+                    # points exactly on knots, and unsorted order half the time
+                    x[rng.integers(0, n, min(n, degree + 2))] = t[: min(n, degree + 2)]
+                    if rng.random() < 0.5:
+                        x = rng.permutation(x)
+                    if n == 128 and kind == "random":
+                        x = x.reshape(16, 8)
+                    yield degree, t, x
 
 
 def knot_vectors(max_degree=5):
@@ -81,6 +141,18 @@ class TestEvalBasis:
     def test_fully_coincident_degenerate(self):
         kv = KnotVector(1, (0.5, 0.5, 0.5))
         assert eval_basis(kv, 0.5) == 0.0
+
+    def test_matches_reference_byte_for_byte(self):
+        count = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for degree, t, x in _oracle_cases():
+                got = basis_values(t, degree, x)
+                want = _reference_basis(t, degree, x)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (degree, t.tolist())
+                count += 1
+        assert count == 4 * 4 * 7 * 24
 
 
 class TestBasisIntegral:

@@ -229,6 +229,30 @@ class TestFitCommand:
             assert ((tmp_path / f"r1{suffix}").read_bytes()
                     == (tmp_path / f"r2{suffix}").read_bytes())
 
+    def test_prior_only_summary_is_valid_json(self, tmp_path):
+        # prior-only sigma^2 draws reach 1e300, whose squares overflow
+        data = str(tmp_path / "data.csv")
+        main(["simulate", "blocks", "--n", "128", "--rsnr", "3", "--seed", "5",
+              "--out", data])
+        prefix = str(tmp_path / "po")
+        assert main(["fit", data, "--out-prefix", prefix, "--prior-only",
+                     "--degrees", "0,1", "--seed", "9", "--iterations", "2000",
+                     "--burn-in", "500", "--save-trace"]) == 0
+        out = tmp_path / "resummarized.json"
+        assert main(["summarize", prefix + "_trace.csv", "--out", str(out)]) == 0
+
+        def reject(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        fitted = json.loads((tmp_path / "po_summary.json").read_text(),
+                            parse_constant=reject)
+        resummarized = json.loads(out.read_text(), parse_constant=reject)
+        summaries = ([fitted["sigma2"]] + list(fitted["J"].values())
+                     + list(fitted["M"].values()) + list(resummarized.values()))
+        assert len(summaries) == 10
+        assert all(np.isfinite(s["sd"]) for s in summaries)
+        assert fitted["sigma2"]["sd"] > 1e200
+
     def test_grid_option(self, tmp_path):
         data = self._simulate(tmp_path)
         prefix = str(tmp_path / "g")

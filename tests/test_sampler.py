@@ -27,6 +27,7 @@ from levyspline.sampler import (
     run_chain,
 )
 from levyspline.signals import generate_dataset
+from test_bspline import _reference_basis
 
 
 def flat_data(n=5, value=0.0):
@@ -432,6 +433,23 @@ class TestRunChain:
         for k in fast.J:
             assert np.array_equal(fast.J[k], slow.J[k])
             assert np.max(np.abs(fast.M[k] - slow.M[k])) <= 1e-8
+
+    def test_chain_identical_under_reference_kernel(self, monkeypatch):
+        # the level-vectorized kernel must leave every chain bit for bit as
+        # the (level, index) Cox-de Boor oracle would run it
+        data = generate_dataset("modified_heavisine", 64, 5.0, seed=14)
+        hyper = Hyperparams.make((0, 1, 2, 3))
+        cfg = ChainConfig(iterations=300, burn_in=100, thin=2, seed=15)
+        fast = run_chain(data, hyper, cfg)
+        monkeypatch.setattr("levyspline.sampler.basis_values", _reference_basis)
+        ref = run_chain(data, hyper, cfg)
+        assert fast.curves.tobytes() == ref.curves.tobytes()
+        assert fast.sigma2.tobytes() == ref.sigma2.tobytes()
+        for k in hyper.degrees:
+            assert np.array_equal(fast.J[k], ref.J[k])
+            assert fast.M[k].tobytes() == ref.M[k].tobytes()
+        assert fast.attempts == ref.attempts and fast.accepts == ref.accepts
+        assert sum(ref.accepts.values()) > 0
 
     def test_prior_only_recovers_prior_means(self):
         data = generate_dataset("blocks", 16, 3.0, seed=11)
