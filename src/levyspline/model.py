@@ -178,8 +178,8 @@ def sample_atom(k: int, phi: float, domain: tuple[float, float],
     if not hi > lo:
         raise ValueError("domain must be non-degenerate")
     beta = float(rng.normal(0.0, phi))
-    knots = np.sort(rng.uniform(lo, hi, size=k + 2))
-    return Atom(knots=KnotVector(degree=k, knots=tuple(knots)), beta=beta)
+    knots = np.sort(rng.uniform(lo, hi, size=k + 2)).tolist()
+    return Atom(knots=KnotVector(degree=k, knots=knots), beta=beta)
 
 
 def atom_log_prior(atom: Atom, phi: float, domain: tuple[float, float]) -> float:

@@ -17,6 +17,12 @@ prior-only chain is the same chain fitted to no observations: every
 likelihood ratio is 0 and each Gibbs conditional is its prior. A
 full-recompute chain rebuilds the cache from its atoms before each residual
 is read; tests check it against the incremental chain.
+
+`run_chain` records a curve on the data grid by summing the cached columns
+(`Chain.cached_mean`), which has `mean_on`'s bits: a cached column is
+exactly `basis_values` of its atom on the data, and the sum runs in the
+same order. Any other grid, and a prior-only chain's, goes through
+`mean_on`, which evaluates every atom.
 """
 
 from __future__ import annotations
@@ -153,11 +159,21 @@ class Chain:
             k: [self._col(a.knots.knots, k) for a in atoms]
             for k, atoms in self.atoms.items()
         }
-        fitted = np.full(len(self.x), self.beta0)
+        self.fitted = self.cached_mean()
+
+    def cached_mean(self) -> np.ndarray:
+        """The mean on the chain's `x`, summed from the cached columns.
+
+        Each column is `basis_values` of its atom on `x` and the sum runs in
+        `mean_on`'s order, so this is `mean_on(x)` bit for bit without
+        evaluating a basis function. `fitted`, updated by adding deltas,
+        can differ from it in the last bits.
+        """
+        out = np.full(len(self.x), self.beta0)
         for k, atoms in self.atoms.items():
             for a, col in zip(atoms, self.cols[k]):
-                fitted += a.beta * col
-        self.fitted = fitted
+                out += a.beta * col
+        return out
 
     def _resid(self) -> np.ndarray:
         """y - fitted; a full-recompute chain first rebuilds the cache."""
@@ -238,7 +254,7 @@ class Chain:
             accepted = self._accept(self._llr(delta))
             if accepted:
                 knots = candidate
-                atoms[r] = Atom(knots=KnotVector(degree=k, knots=tuple(knots)), beta=beta)
+                atoms[r] = Atom(knots=KnotVector(degree=k, knots=knots), beta=beta)
                 self.cols[k][r] = new_col
                 self.fitted = self.fitted + delta
             flags.append(accepted)
@@ -353,6 +369,7 @@ def run_chain(data: Dataset, hyper: Hyperparams, cfg: ChainConfig,
     if grid is None:
         grid = data.x
     grid = np.asarray(grid, dtype=float)
+    on_data = np.array_equal(grid, chain.x)
     attempts: dict[tuple[str, int], int] = {}
     accepts: dict[tuple[str, int], int] = {}
     curves = [] if store_curves else None
@@ -369,7 +386,7 @@ def run_chain(data: Dataset, hyper: Hyperparams, cfg: ChainConfig,
                 J_trace[k].append(len(chain.atoms[k]))
                 M_trace[k].append(chain.M[k])
             if store_curves:
-                curves.append(chain.mean_on(grid))
+                curves.append(chain.cached_mean() if on_data else chain.mean_on(grid))
             if keep_states:
                 states.append(chain.snapshot())
     return ChainOutput(

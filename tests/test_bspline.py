@@ -107,6 +107,14 @@ class TestKnotVector:
         with pytest.raises(ValueError):
             KnotVector(-1, ())
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("pos", [0, 1, 2])
+    def test_non_finite_rejected(self, bad, pos):
+        knots = [0.0, 0.5, 1.0]
+        knots[pos] = bad
+        with pytest.raises(ValueError, match="knots must be finite"):
+            KnotVector(1, tuple(knots))
+
     def test_ties_allowed(self):
         kv = KnotVector(1, (0.0, 0.0, 1.0))
         assert kv.support == (0.0, 1.0)

@@ -6,7 +6,7 @@ import pytest
 import scipy.stats as st
 from pytest import approx
 
-from levyspline.bspline import KnotVector
+from levyspline.bspline import KnotVector, eval_mean
 from levyspline.model import (
     Atom,
     Dataset,
@@ -436,20 +436,39 @@ class TestRunChain:
 
     def test_chain_identical_under_reference_kernel(self, monkeypatch):
         # the level-vectorized kernel must leave every chain bit for bit as
-        # the (level, index) Cox-de Boor oracle would run it
+        # the (level, index) Cox-de Boor oracle would run it, on the data
+        # grid (cached columns) and off it (`mean_on`)
         data = generate_dataset("modified_heavisine", 64, 5.0, seed=14)
         hyper = Hyperparams.make((0, 1, 2, 3))
         cfg = ChainConfig(iterations=300, burn_in=100, thin=2, seed=15)
-        fast = run_chain(data, hyper, cfg)
+        grid = np.linspace(data.domain[0], data.domain[1], 97)
+        fast = [run_chain(data, hyper, cfg), run_chain(data, hyper, cfg, grid=grid)]
         monkeypatch.setattr("levyspline.sampler.basis_values", _reference_basis)
-        ref = run_chain(data, hyper, cfg)
-        assert fast.curves.tobytes() == ref.curves.tobytes()
-        assert fast.sigma2.tobytes() == ref.sigma2.tobytes()
-        for k in hyper.degrees:
-            assert np.array_equal(fast.J[k], ref.J[k])
-            assert fast.M[k].tobytes() == ref.M[k].tobytes()
-        assert fast.attempts == ref.attempts and fast.accepts == ref.accepts
-        assert sum(ref.accepts.values()) > 0
+        ref = [run_chain(data, hyper, cfg), run_chain(data, hyper, cfg, grid=grid)]
+        for f, r in zip(fast, ref):
+            assert f.curves.tobytes() == r.curves.tobytes()
+            assert f.sigma2.tobytes() == r.sigma2.tobytes()
+            for k in hyper.degrees:
+                assert np.array_equal(f.J[k], r.J[k])
+                assert f.M[k].tobytes() == r.M[k].tobytes()
+            assert f.attempts == r.attempts and f.accepts == r.accepts
+            assert sum(r.accepts.values()) > 0
+        assert ref[1].curves.shape == (100, 97)
+
+    @pytest.mark.parametrize("mode", [{}, {"full_recompute": True}, {"prior_only": True}],
+                             ids=["incremental", "full_recompute", "prior_only"])
+    def test_data_grid_curves_match_eval_mean(self, mode):
+        # data-grid curves are summed from the cached columns (the prior-only
+        # chain caches none and goes through `mean_on`); either way each
+        # curve has the bits of evaluating the retained state afresh
+        data = generate_dataset("modified_heavisine", 64, 5.0, seed=16)
+        hyper = Hyperparams.make((0, 1, 2, 3))
+        cfg = ChainConfig(iterations=300, burn_in=100, thin=2, seed=17)
+        out = run_chain(data, hyper, cfg, keep_states=True, **mode)
+        assert len(out.states) == len(out.curves) == 100
+        assert sum(out.J[k][-1] for k in hyper.degrees) > 0
+        for curve, state in zip(out.curves, out.states):
+            assert curve.tobytes() == eval_mean(state, data.x).tobytes()
 
     def test_prior_only_recovers_prior_means(self):
         data = generate_dataset("blocks", 16, 3.0, seed=11)
