@@ -83,7 +83,7 @@ def basis_values(knots, degree: int, x) -> np.ndarray:
         W = X[num]
         W /= (t[hi] - t[num])[:, None]
         b = _triangle(b0, W, degree, masked=False)
-        if not np.isfinite(b.sum()):
+        if not math.isfinite(b.sum()):
             b = _triangle(b0, W, degree, masked=True)
     return b[0].reshape(x.shape)
 

@@ -335,8 +335,13 @@ def cmd_summarize(args) -> int:
         parts = line.split(",")
         if len(parts) != len(header):
             raise ValueError(f"{args.trace}: line {lineno}: ragged row")
-        for name, part in zip(header, parts):
-            columns[name].append(float(part))
+        try:
+            for name, part in zip(header, parts):
+                columns[name].append(float(part))
+        except ValueError:
+            raise ValueError(f"{args.trace}: line {lineno}: non-numeric value") from None
+    if not columns[header[0]]:
+        raise ValueError(f"{args.trace}: no samples")
     summary = {name: _trace_summary(vals) for name, vals in columns.items()
                if name != "sample"}
     text = json.dumps(summary, indent=2) + "\n"

@@ -178,7 +178,7 @@ def sample_atom(k: int, phi: float, domain: tuple[float, float],
     if not hi > lo:
         raise ValueError("domain must be non-degenerate")
     beta = float(rng.normal(0.0, phi))
-    knots = np.sort(rng.uniform(lo, hi, size=k + 2)).tolist()
+    knots = sorted(rng.uniform(lo, hi, size=k + 2).tolist())
     return Atom(knots=KnotVector(degree=k, knots=knots), beta=beta)
 
 

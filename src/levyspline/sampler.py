@@ -12,11 +12,15 @@ coefficient is then re-drawn from its Normal full conditional.
 `Chain` is the only move kernel. Every move evaluates its likelihood ratio
 incrementally from cached basis columns and fitted values, and the
 birth/death ratios come from `birth_ratio`/`death_ratio`, which the
-full-likelihood oracles `birth_log_ratio`/`death_log_ratio` share. A
-prior-only chain is the same chain fitted to no observations: every
-likelihood ratio is 0 and each Gibbs conditional is its prior. A
-full-recompute chain rebuilds the cache from its atoms before each residual
-is read; tests check it against the incremental chain.
+full-likelihood oracles `birth_log_ratio`/`death_log_ratio` share. The
+residual `y - fitted` and its sum of squares are computed once per change
+to `fitted` and reused by every read until the next change (most proposals
+are rejected, so this saves a subtraction and a dot product on each); the
+`fitted` setter is the one place that drops them. A prior-only chain is the
+same chain fitted to no observations: every likelihood ratio is 0 and each
+Gibbs conditional is its prior. A full-recompute chain rebuilds the cache
+from its atoms, which sets `fitted` and so drops the residual, before each
+residual is read; tests check it against the incremental chain.
 
 `run_chain` records a curve on the data grid by summing the cached columns
 (`Chain.cached_mean`), which has `mean_on`'s bits: a cached column is
@@ -161,6 +165,15 @@ class Chain:
         }
         self.fitted = self.cached_mean()
 
+    @property
+    def fitted(self) -> np.ndarray:
+        return self._fitted
+
+    @fitted.setter
+    def fitted(self, value: np.ndarray):
+        self._fitted = value
+        self._resid_rss = None
+
     def cached_mean(self) -> np.ndarray:
         """The mean on the chain's `x`, summed from the cached columns.
 
@@ -175,16 +188,23 @@ class Chain:
                 out += a.beta * col
         return out
 
-    def _resid(self) -> np.ndarray:
-        """y - fitted; a full-recompute chain first rebuilds the cache."""
+    def _resid(self) -> tuple[np.ndarray, float]:
+        """(y - fitted, its sum of squares), computed once per `fitted`.
+
+        A full-recompute chain first rebuilds the cache, so it computes the
+        pair afresh on every call.
+        """
         if self.full_recompute:
             self._rebuild_cache()
-        return self.y - self.fitted
+        if self._resid_rss is None:
+            resid = self.y - self._fitted
+            self._resid_rss = resid, _rss(resid)
+        return self._resid_rss
 
     def _llr(self, delta: np.ndarray) -> float:
         """Log-likelihood ratio of adding `delta` to the fitted values."""
-        resid = self._resid()
-        return -(_rss(resid - delta) - _rss(resid)) / (2.0 * self.sigma2)
+        resid, rss = self._resid()
+        return -(_rss(resid - delta) - rss) / (2.0 * self.sigma2)
 
     def _accept(self, log_ratio: float) -> bool:
         return math.log(self.rng.random() + _TINY) < log_ratio
@@ -264,7 +284,7 @@ class Chain:
     # ---- Gibbs updates ----------------------------------------------------
 
     def gibbs_beta(self, k: int, idx: int):
-        resid = self._resid()
+        resid, _ = self._resid()
         atom = self.atoms[k][idx]
         col = self.cols[k][idx]
         var = 1.0 / (float(col @ col) / self.sigma2 + 1.0 / self.phi**2)
@@ -272,7 +292,7 @@ class Chain:
         mean = var * float(partial @ col) / self.sigma2
         new_beta = float(self.rng.normal(mean, math.sqrt(var)))
         self.fitted = self.fitted + (new_beta - atom.beta) * col
-        self.atoms[k][idx] = dataclasses.replace(atom, beta=new_beta)
+        self.atoms[k][idx] = Atom(knots=atom.knots, beta=new_beta)
 
     def gibbs_M(self, k: int):
         a = self.hyper.a_gamma[k] + len(self.atoms[k])
@@ -282,7 +302,7 @@ class Chain:
     def gibbs_sigma2(self):
         r, R = self.hyper.r, self.hyper.R
         r0 = r + len(self.y)
-        R0 = (_rss(self._resid()) + r * R) / r0
+        R0 = (self._resid()[1] + r * R) / r0
         g = self.rng.gamma(r0 / 2.0, 2.0 / max(r0 * R0, _TINY))
         self.sigma2 = 1.0 / max(g, _TINY)
 
@@ -417,6 +437,5 @@ def posterior_curve(out: ChainOutput, grid: np.ndarray | None = None,
     else:
         raise ValueError("grid differs from the stored one and no states were kept")
     mean = curves.mean(axis=0)
-    lower = np.quantile(curves, levels[0], axis=0)
-    upper = np.quantile(curves, levels[1], axis=0)
+    lower, upper = np.quantile(curves, levels, axis=0)
     return mean, lower, upper

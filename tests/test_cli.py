@@ -352,3 +352,15 @@ class TestSummarizeCommand:
         trace.write_text("sample,sigma2\n0,1.0,9\n")
         assert main(["summarize", str(trace)]) == 1
         assert "ragged" in capsys.readouterr().err
+
+    def test_header_only_trace_rejected(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        trace.write_text("sample,sigma2,J_0,M_0\n")
+        assert main(["summarize", str(trace)]) == 1
+        assert capsys.readouterr().err == f"error: {trace}: no samples\n"
+
+    def test_non_numeric_cell_reports_line(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        trace.write_text("sample,sigma2\n0,1.0\n1,abc\n")
+        assert main(["summarize", str(trace)]) == 1
+        assert capsys.readouterr().err == f"error: {trace}: line 3: non-numeric value\n"

@@ -488,6 +488,54 @@ class TestRunChain:
         assert set(out.acceptance_rates()) <= {"birth_0", "death_0", "relocate_0"}
 
 
+class TestResidualCache:
+    @pytest.mark.parametrize("beta_sweep", [False, True])
+    def test_cached_residual_matches_fresh(self, beta_sweep):
+        # before and after every move and Gibbs step, and before each
+        # proposal's likelihood ratio, the residual and RSS the chain would
+        # read are those of its current `fitted`, bit for bit: each write to
+        # `fitted` (accepted birth, death or relocation, gibbs_beta, a cache
+        # rebuild) drops the cached pair
+        data = generate_dataset("modified_heavisine", 64, 5.0, seed=18)
+        hyper = Hyperparams.make((0, 1, 2, 3))
+        chain = Chain(data, hyper, np.random.default_rng(19))
+        calls = dict.fromkeys(("birth", "death", "relocate", "gibbs_beta",
+                               "gibbs_M", "gibbs_sigma2", "_llr"), 0)
+
+        def check():
+            resid, rss = chain._resid()
+            fresh = chain.y - chain.fitted
+            assert resid.tobytes() == fresh.tobytes()
+            assert np.float64(rss).tobytes() == np.float64(fresh @ fresh).tobytes()
+
+        def checked(name, step):
+            def run(*args):
+                check()
+                result = step(*args)
+                calls[name] += 1
+                check()
+                return result
+            return run
+
+        for name in calls:
+            setattr(chain, name, checked(name, getattr(chain, name)))
+        attempts, accepts = {}, {}
+        rebuilt = 0
+        for sweep in range(300):
+            chain.sweep((attempts, accepts), beta_sweep=beta_sweep)
+            if sweep % 50 == 49:
+                before = chain.fitted.tobytes()
+                chain._rebuild_cache()
+                rebuilt += chain.fitted.tobytes() != before
+                check()
+        assert all(calls.values())
+        for kind in ("birth", "death", "relocate"):
+            assert sum(v for (m, _), v in accepts.items() if m == kind) > 0
+        # a rebuild moved the fitted values in the last bits, so a stale
+        # pair after a rebuild would have been caught
+        assert rebuilt > 0
+
+
 def batch_mean_se(trace, batches=50):
     """Batch-means standard error for an autocorrelated trace."""
     trace = np.asarray(trace, dtype=float)
@@ -522,6 +570,24 @@ class TestPosteriorCurve:
         out = self._out([c, -c])
         mean, _, _ = posterior_curve(out)
         assert mean == approx(np.zeros(3))
+
+    @pytest.mark.parametrize("levels", [None, (0.1, 0.9), (0.005, 0.5)],
+                             ids=["default", "decile", "skewed"])
+    def test_band_matches_separate_quantiles(self, levels):
+        # both band levels come from one quantile pass over the curves,
+        # with the bits of one `np.quantile` call per level
+        data = generate_dataset("modified_heavisine", 64, 5.0, seed=20)
+        out = run_chain(data, Hyperparams.make((0, 2)),
+                        ChainConfig(iterations=400, burn_in=100, seed=21))
+        if levels is None:
+            mean, lo, hi = posterior_curve(out)
+            levels = (0.025, 0.975)
+        else:
+            mean, lo, hi = posterior_curve(out, levels=levels)
+        assert lo.shape == hi.shape == (64,)
+        assert lo.tobytes() == np.quantile(out.curves, levels[0], axis=0).tobytes()
+        assert hi.tobytes() == np.quantile(out.curves, levels[1], axis=0).tobytes()
+        assert mean.tobytes() == out.curves.mean(axis=0).tobytes()
 
     def test_empty_retained_rejected(self):
         out = run_chain(generate_dataset("blocks", 8, 3.0, seed=13),
