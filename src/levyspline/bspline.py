@@ -71,10 +71,11 @@ def basis_values(knots, degree: int, x) -> np.ndarray:
     array of evaluation points. Returns B_degree(x; knots) in the shape of
     `x` (shape (1,) for a scalar).
     """
-    t = np.asarray(knots, dtype=float)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if degree == 0:
-        return ((t[0] <= x) & (x < t[1])).astype(float)
+        lo, hi = float(knots[0]), float(knots[1])
+        return ((lo <= x) & (x < hi)).astype(float)
+    t = np.asarray(knots, dtype=float)
     X = x.reshape(-1) - t[:, None]
     S = X >= 0.0
     b0 = (S[:-1] > S[1:]).astype(float)

@@ -37,24 +37,31 @@ def parse_dataset(path: str) -> Dataset:
         raise FileNotFoundError(f"dataset file not found: {path}") from None
     if not lines or lines[0].strip() != "x,y":
         raise ValueError(f"{path}: expected header 'x,y'")
-    xs, ys = [], []
+    rows = list(_numeric_rows(path, lines, 2, "expected 2 fields, got {}"))
+    if not rows:
+        raise ValueError(f"{path}: empty dataset")
+    xs, ys = zip(*rows)
+    return Dataset(x=np.asarray(xs), y=np.asarray(ys))
+
+
+def _numeric_rows(path: str, lines: list[str], width: int, ragged: str):
+    """Each non-blank line after the header as `width` finite floats.
+
+    A row of another width raises `ragged`, formatted with its field count.
+    """
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"{path}: line {lineno}: expected 2 fields, got {len(parts)}")
+        if len(parts) != width:
+            raise ValueError(f"{path}: line {lineno}: {ragged.format(len(parts))}")
         try:
-            x, y = float(parts[0]), float(parts[1])
+            row = list(map(float, parts))
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: non-numeric value") from None
-        if not (math.isfinite(x) and math.isfinite(y)):
+        if not all(map(math.isfinite, row)):
             raise ValueError(f"{path}: line {lineno}: non-finite value")
-        xs.append(x)
-        ys.append(y)
-    if not xs:
-        raise ValueError(f"{path}: empty dataset")
-    return Dataset(x=np.asarray(xs), y=np.asarray(ys))
+        yield row
 
 
 def write_dataset(path: str, x, y, header: str = "x,y"):
@@ -328,21 +335,10 @@ def cmd_summarize(args) -> int:
     if not lines:
         raise ValueError(f"{args.trace}: empty trace file")
     header = lines[0].split(",")
-    columns = {name: [] for name in header}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise ValueError(f"{args.trace}: line {lineno}: ragged row")
-        try:
-            for name, part in zip(header, parts):
-                columns[name].append(float(part))
-        except ValueError:
-            raise ValueError(f"{args.trace}: line {lineno}: non-numeric value") from None
-    if not columns[header[0]]:
+    rows = list(_numeric_rows(args.trace, lines, len(header), "ragged row"))
+    if not rows:
         raise ValueError(f"{args.trace}: no samples")
-    summary = {name: _trace_summary(vals) for name, vals in columns.items()
+    summary = {name: _trace_summary(vals) for name, vals in zip(header, zip(*rows))
                if name != "sample"}
     text = json.dumps(summary, indent=2) + "\n"
     if args.out:

@@ -169,16 +169,42 @@ def log_likelihood(state: ModelState, data: Dataset) -> float:
         - 0.5 * float(resid @ resid) / state.sigma2
 
 
-def sample_atom(k: int, phi: float, domain: tuple[float, float],
-                rng: np.random.Generator) -> Atom:
-    """Draw one atom from its prior: beta ~ N(0, phi^2), knots sorted iid uniforms."""
+def _uniform_span(lo: float, hi: float) -> float:
+    """hi - lo, checked as `Generator.uniform` checks it, with numpy's errors."""
+    span = hi - lo
+    if not math.isfinite(span):
+        raise OverflowError("high - low range exceeds valid bounds")
+    if span < 0:
+        raise ValueError("high - low < 0")
+    return span
+
+
+def uniform(lo: float, hi: float, rng: np.random.Generator) -> float:
+    """`rng.uniform(lo, hi)` bit for bit: numpy computes lo + (hi - lo) * random()."""
+    return lo + _uniform_span(lo, hi) * rng.random()
+
+
+def draw_atom(k: int, phi: float, domain: tuple[float, float],
+              rng: np.random.Generator) -> tuple[float, list[float]]:
+    """Draw one atom's prior values: beta ~ N(0, phi^2), knots sorted iid uniforms.
+
+    The knots are `rng.uniform(lo, hi, size=k + 2)`'s doubles, sorted: a
+    sorted list of finite values, ready for `basis_values` unvalidated.
+    """
     if phi <= 0:
         raise ValueError("phi must be positive")
     lo, hi = domain
     if not hi > lo:
         raise ValueError("domain must be non-degenerate")
     beta = float(rng.normal(0.0, phi))
-    knots = sorted(rng.uniform(lo, hi, size=k + 2).tolist())
+    span = _uniform_span(lo, hi)
+    return beta, sorted([lo + span * u for u in rng.random(k + 2).tolist()])
+
+
+def sample_atom(k: int, phi: float, domain: tuple[float, float],
+                rng: np.random.Generator) -> Atom:
+    """Draw one atom from its prior (`draw_atom`'s values, validated)."""
+    beta, knots = draw_atom(k, phi, domain, rng)
     return Atom(knots=KnotVector(degree=k, knots=knots), beta=beta)
 
 

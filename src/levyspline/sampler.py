@@ -12,7 +12,9 @@ coefficient is then re-drawn from its Normal full conditional.
 `Chain` is the only move kernel. Every move evaluates its likelihood ratio
 incrementally from cached basis columns and fitted values, and the
 birth/death ratios come from `birth_ratio`/`death_ratio`, which the
-full-likelihood oracles `birth_log_ratio`/`death_log_ratio` share. The
+full-likelihood oracles `birth_log_ratio`/`death_log_ratio` share. Most
+proposals are rejected, so a birth evaluates its column on raw prior draws
+(`draw_atom`) and builds its validated `Atom` only when accepted. The
 residual `y - fitted` and its sum of squares are computed once per change
 to `fitted` and reused by every read until the next change (most proposals
 are rejected, so this saves a subtraction and a dot product on each); the
@@ -44,9 +46,11 @@ from .model import (
     DegreeComponent,
     Hyperparams,
     ModelState,
+    draw_atom,
     init_state,
     log_likelihood,
-    sample_atom,
+    sample_atom,  # noqa: F401  bound here for span tracing; births call draw_atom
+    uniform,
 )
 
 BIRTH, DEATH, RELOCATE = "birth", "death", "relocate"
@@ -203,7 +207,10 @@ class Chain:
 
     def _llr(self, delta: np.ndarray) -> float:
         """Log-likelihood ratio of adding `delta` to the fitted values."""
-        resid, rss = self._resid()
+        pair = self._resid_rss
+        if pair is None or self.full_recompute:
+            pair = self._resid()
+        resid, rss = pair
         return -(_rss(resid - delta) - rss) / (2.0 * self.sigma2)
 
     def _accept(self, log_ratio: float) -> bool:
@@ -228,13 +235,13 @@ class Chain:
 
     def birth(self, k: int) -> tuple[bool, float]:
         J = len(self.atoms[k])
-        atom = sample_atom(k, self.phi, self.domain, self.rng)
-        col = self._col(atom.knots.knots, k)
-        delta = atom.beta * col
+        beta, knots = draw_atom(k, self.phi, self.domain, self.rng)
+        col = self._col(knots, k)
+        delta = beta * col
         log_ratio = birth_ratio(self._llr(delta), self.M[k], J, self.hyper)
         accepted = self._accept(log_ratio)
         if accepted:
-            self.atoms[k].append(atom)
+            self.atoms[k].append(Atom(knots=KnotVector(degree=k, knots=knots), beta=beta))
             self.cols[k].append(col)
             self.fitted = self.fitted + delta
         return accepted, log_ratio
@@ -268,7 +275,7 @@ class Chain:
             lo = knots[i - 1] if i > 0 else lo_bound
             hi = knots[i + 1] if i < k + 1 else hi_bound
             candidate = knots.copy()
-            candidate[i] = float(self.rng.uniform(lo, hi))
+            candidate[i] = uniform(lo, hi, self.rng)
             new_col = self._col(candidate, k)
             delta = beta * (new_col - self.cols[k][r])
             accepted = self._accept(self._llr(delta))
@@ -392,7 +399,7 @@ def run_chain(data: Dataset, hyper: Hyperparams, cfg: ChainConfig,
     on_data = np.array_equal(grid, chain.x)
     attempts: dict[tuple[str, int], int] = {}
     accepts: dict[tuple[str, int], int] = {}
-    curves = [] if store_curves else None
+    curves = np.empty((cfg.retained, len(grid))) if store_curves else None
     sigma2_trace = []
     J_trace = {k: [] for k in hyper.degrees}
     M_trace = {k: [] for k in hyper.degrees}
@@ -401,18 +408,19 @@ def run_chain(data: Dataset, hyper: Hyperparams, cfg: ChainConfig,
         chain.sweep((attempts, accepts), moves_per_degree=moves_per_degree,
                     beta_sweep=beta_sweep)
         if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == cfg.thin - 1:
+            row = len(sigma2_trace)
             sigma2_trace.append(chain.sigma2)
             for k in hyper.degrees:
                 J_trace[k].append(len(chain.atoms[k]))
                 M_trace[k].append(chain.M[k])
             if store_curves:
-                curves.append(chain.cached_mean() if on_data else chain.mean_on(grid))
+                curves[row] = chain.cached_mean() if on_data else chain.mean_on(grid)
             if keep_states:
                 states.append(chain.snapshot())
     return ChainOutput(
         config=cfg,
         grid=grid if store_curves else None,
-        curves=np.asarray(curves) if store_curves else None,
+        curves=curves,
         sigma2=np.asarray(sigma2_trace),
         J={k: np.asarray(v, dtype=int) for k, v in J_trace.items()},
         M={k: np.asarray(v) for k, v in M_trace.items()},
@@ -437,5 +445,6 @@ def posterior_curve(out: ChainOutput, grid: np.ndarray | None = None,
     else:
         raise ValueError("grid differs from the stored one and no states were kept")
     mean = curves.mean(axis=0)
-    lower, upper = np.quantile(curves, levels, axis=0)
+    # one transposed copy puts each grid point's samples in a row, partitioned in place
+    lower, upper = np.quantile(curves.T.copy(), levels, axis=1, overwrite_input=True)
     return mean, lower, upper

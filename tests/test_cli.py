@@ -261,6 +261,21 @@ class TestFitCommand:
         lines = (tmp_path / "g_curve.csv").read_text().splitlines()
         assert len(lines) == 202
 
+    def test_config_moves_per_degree_changes_trace(self, tmp_path):
+        # the config key reaches the sweep: two moves per degree make
+        # another chain than the default one
+        data = self._simulate(tmp_path)
+        config = tmp_path / "two.txt"
+        config.write_text("moves_per_degree = 2\n")
+        for prefix, extra in (("one", []), ("two", ["--config", str(config)])):
+            assert main(["fit", data, "--out-prefix", str(tmp_path / prefix),
+                         "--iterations", "300", "--burn-in", "100", "--degrees", "0",
+                         "--seed", "3", "--save-trace", *extra]) == 0
+        one = (tmp_path / "one_trace.csv").read_text()
+        two = (tmp_path / "two_trace.csv").read_text()
+        assert one.splitlines()[0] == two.splitlines()[0]
+        assert one != two
+
     def test_dump_config_round_trips(self, tmp_path):
         data = self._simulate(tmp_path)
         prefix = str(tmp_path / "c")
@@ -364,3 +379,13 @@ class TestSummarizeCommand:
         trace.write_text("sample,sigma2\n0,1.0\n1,abc\n")
         assert main(["summarize", str(trace)]) == 1
         assert capsys.readouterr().err == f"error: {trace}: line 3: non-numeric value\n"
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_reports_line(self, tmp_path, capsys, cell):
+        # the summary would print `NaN`/`Infinity`, which is not JSON
+        trace = tmp_path / "t.csv"
+        trace.write_text(f"sample,sigma2\n0,1.0\n1,{cell}\n")
+        assert main(["summarize", str(trace)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {trace}: line 3: non-finite value\n"
+        assert captured.out == ""

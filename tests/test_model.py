@@ -14,9 +14,11 @@ from levyspline.model import (
     ModelState,
     atom_log_prior,
     coefficient_scale,
+    draw_atom,
     init_state,
     log_likelihood,
     sample_atom,
+    uniform,
 )
 from levyspline.signals import generate_dataset
 
@@ -132,6 +134,82 @@ class TestSampleAtom:
             sample_atom(0, 0.0, (0.0, 1.0), rng)
         with pytest.raises(ValueError):
             sample_atom(0, 1.0, (1.0, 1.0), rng)
+
+
+def _numpy_draw(k, phi, domain, rng):
+    """An atom's prior values drawn through `rng.uniform`, with draw_atom's checks."""
+    if phi <= 0:
+        raise ValueError("phi must be positive")
+    lo, hi = domain
+    if not hi > lo:
+        raise ValueError("domain must be non-degenerate")
+    beta = float(rng.normal(0.0, phi))
+    return beta, sorted(rng.uniform(lo, hi, size=k + 2).tolist())
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestUniformDraws:
+    """`uniform` and `draw_atom` give `rng.uniform`'s doubles from `rng.random`.
+
+    numpy computes uniform(lo, hi) as lo + (hi - lo) * random(); if a numpy
+    release computes it differently, these fail rather than the chains
+    moving silently.
+    """
+
+    DOMAINS = [(0.0, 1.0), (-0.25, 1.75)]
+
+    def _pairs(self, seed, count):
+        # fixed domains, then random neighbour pairs (sorted uniforms)
+        pairs = [d for d in self.DOMAINS for _ in range(count)]
+        u = np.sort(np.random.default_rng(seed).uniform(-2.0, 3.0, (count, 2)), axis=1)
+        return pairs + [tuple(p) for p in u.tolist()]
+
+    def test_scalar_matches_rng_uniform(self):
+        pairs = self._pairs(30, 40_000)
+        ours, theirs = np.random.default_rng(31), np.random.default_rng(31)
+        got = [uniform(lo, hi, ours) for lo, hi in pairs]
+        want = [float(theirs.uniform(lo, hi)) for lo, hi in pairs]
+        assert len(got) >= 10**5
+        assert _bits(got) == _bits(want)
+        assert ours.random() == theirs.random()
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_draw_atom_matches_rng_uniform(self, k):
+        pairs = self._pairs(40 + k, 10**5 // (3 * (k + 2)) + 1)
+        ours, theirs = np.random.default_rng(50 + k), np.random.default_rng(50 + k)
+        betas, knots, want_betas, want_knots = [], [], [], []
+        for domain in pairs:
+            beta, kn = draw_atom(k, 0.7, domain, ours)
+            betas.append(beta)
+            knots += kn
+            beta, kn = _numpy_draw(k, 0.7, domain, theirs)
+            want_betas.append(beta)
+            want_knots += kn
+        assert len(knots) >= 10**5
+        assert _bits(betas) == _bits(want_betas)
+        assert _bits(knots) == _bits(want_knots)
+
+    @pytest.mark.parametrize("lo,hi", [(-1e308, 1e308), (-math.inf, 1.0),
+                                       (0.0, math.nan), (1.0, 0.0)])
+    def test_range_errors_match_numpy(self, lo, hi):
+        with pytest.raises((OverflowError, ValueError)) as numpy_error:
+            np.random.default_rng(0).uniform(lo, hi)
+        with pytest.raises(numpy_error.type):
+            uniform(lo, hi, np.random.default_rng(0))
+        for k in range(4):
+            with pytest.raises((OverflowError, ValueError)) as want:
+                _numpy_draw(k, 1.0, (lo, hi), np.random.default_rng(0))
+            with pytest.raises(want.type):
+                draw_atom(k, 1.0, (lo, hi), np.random.default_rng(0))
+
+    def test_sample_atom_wraps_draw_atom(self):
+        for k in range(4):
+            beta, knots = draw_atom(k, 1.5, (-0.25, 1.75), np.random.default_rng(60))
+            atom = sample_atom(k, 1.5, (-0.25, 1.75), np.random.default_rng(60))
+            assert atom == Atom(knots=KnotVector(degree=k, knots=knots), beta=beta)
 
 
 class TestAtomLogPrior:

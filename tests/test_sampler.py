@@ -487,6 +487,18 @@ class TestRunChain:
             assert acc <= out.attempts[key]
         assert set(out.acceptance_rates()) <= {"birth_0", "death_0", "relocate_0"}
 
+    @pytest.mark.parametrize("moves", [None, 2])
+    def test_moves_per_degree_sets_moves_per_sweep(self, moves):
+        # each sweep makes `moves_per_degree` moves per degree, 1 by default
+        data = generate_dataset("modified_heavisine", 32, 3.0, seed=13)
+        hyper = Hyperparams.make((0, 2))
+        cfg = ChainConfig(iterations=300, burn_in=100, seed=6)
+        kwargs = {} if moves is None else {"moves_per_degree": moves}
+        out = run_chain(data, hyper, cfg, **kwargs)
+        for k in hyper.degrees:
+            attempts = sum(n for (_, deg), n in out.attempts.items() if deg == k)
+            assert attempts == (moves or 1) * cfg.iterations
+
 
 class TestResidualCache:
     @pytest.mark.parametrize("beta_sweep", [False, True])
@@ -588,6 +600,16 @@ class TestPosteriorCurve:
         assert lo.tobytes() == np.quantile(out.curves, levels[0], axis=0).tobytes()
         assert hi.tobytes() == np.quantile(out.curves, levels[1], axis=0).tobytes()
         assert mean.tobytes() == out.curves.mean(axis=0).tobytes()
+        # +0.0/-0.0 ties: a quantile's sign of zero depends on where the
+        # partition leaves each zero, so sorting the columns first flips
+        # some, and so does one call per level against one call for both;
+        # the band keeps the bits of one `np.quantile` call for both levels
+        ties = np.random.default_rng(23).choice(
+            [-0.0, 0.0, -1.0, 1.0], size=(50, 64), p=[0.4, 0.4, 0.1, 0.1])
+        _, lo, hi = posterior_curve(self._out(ties), levels=levels)
+        want = np.quantile(ties, levels, axis=0)
+        assert lo.tobytes() == want[0].tobytes()
+        assert hi.tobytes() == want[1].tobytes()
 
     def test_empty_retained_rejected(self):
         out = run_chain(generate_dataset("blocks", 8, 3.0, seed=13),
