@@ -13,7 +13,13 @@
 #     data grid with --save-trace;
 #   - a --full-recompute fit and two --prior-only fits (one on the data grid);
 #   - summarize on the modified_heavisine trace;
-#   - a 3-replicate heavisine benchmark in csv (with --verbose) and in json.
+#   - a 3-replicate heavisine benchmark in csv (with --verbose) and in json;
+#   - a fit --config whose file sets every hyperparameter key (r, R,
+#     a_gamma, b_gamma, p_birth, p_death, p_relocate) plus moves_per_degree,
+#     beta_sweep and q_lower/q_upper, with --save-trace and --dump-config;
+#   - a 2-replicate bumps benchmark in json whose spec sets r, R, a_gamma
+#     and b_gamma.
+# That is 64 files per run, inputs and stdout/stderr/status included.
 # Everything is written under a temporary directory that is removed on exit.
 # Prints each file that differs and exits 1 if any does, 0 otherwise.
 set -eu
@@ -53,6 +59,39 @@ thin = 10
 seed = 0
 threshold = 0.25
 EOF
+    cat >config.txt <<'EOF'
+degrees = 0,1,3
+r = 0.5
+R = 0.02
+a_gamma = 3
+b_gamma = 2
+p_birth = 0.35
+p_death = 0.45
+p_relocate = 0.2
+moves_per_degree = 2
+beta_sweep = true
+q_lower = 0.1
+q_upper = 0.9
+iterations = 1500
+burn_in = 500
+thin = 5
+seed = 11
+EOF
+    cat >spec_priors.txt <<'EOF'
+function = bumps
+n = 128
+rsnr = 5
+replicates = 2
+degrees = 1,2
+r = 100
+R = 0.02
+a_gamma = 2
+b_gamma = 0.5
+iterations = 1500
+burn_in = 500
+thin = 5
+seed = 4
+EOF
     run sim_blocks simulate blocks --n 128 --rsnr 3 --seed 5 \
         --out blocks.csv --truth-out blocks_truth.csv
     run fit_blocks fit blocks.csv --degrees 0 --grid 1024 --iterations 10000 \
@@ -71,6 +110,9 @@ EOF
     run summarize summarize mh_fit_trace.csv --out mh_resummary.json
     run bench_csv benchmark spec.txt --out bench.csv --verbose
     run bench_json benchmark spec.txt --format json --out bench.json
+    run fit_config fit blocks.csv --config config.txt --out-prefix config_fit \
+        --save-trace --dump-config
+    run bench_priors benchmark spec_priors.txt --format json --out bench_priors.json
     cd - >/dev/null
 }
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -37,6 +38,10 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicate count must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.base_seed}")
+        if self.threshold is not None and not math.isfinite(self.threshold):
+            raise ValueError(f"threshold must be finite, got {self.threshold}")
 
     def chain_config(self, seed: int) -> ChainConfig:
         return ChainConfig(iterations=self.iterations, burn_in=self.burn_in,

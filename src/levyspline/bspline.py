@@ -1,32 +1,26 @@
 """B-spline basis evaluation on private per-atom knot vectors.
 
-Every atom in the model owns its own knot vector of length degree + 2, so
-there is no shared knot grid: evaluation runs the Cox-de Boor triangle
-directly on the atom's knots. Any 0/0 term from coincident knots is defined
-as 0 (standard convention; continuous knot priors make ties measure-zero,
-but floating-point ties can still occur).
+Every atom owns a knot vector of length degree + 2, so there is no shared
+knot grid: evaluation runs the Cox-de Boor triangle on the atom's knots. A
+0/0 term from coincident knots is 0 (continuous knot priors make ties
+measure-zero, but floating-point ties can still occur).
 
 Support is half-open [xi_1, xi_{k+2}), propagated from the degree-0
 indicator through the recursion. A knot vector whose right end coincides
 with the domain maximum therefore evaluates to 0 exactly at that point.
 
-`basis_values` computes the weights of every level in one divide, over
-knot index rows built once per degree, and then runs each level of the
-triangle as one 2-D numpy expression over all of the level's basis
-functions (rows) and points (columns); the per-call cost is the number of
-numpy calls, not the arithmetic, at the sizes the sampler uses. Each
-weight is the same quotient as a per-level divide gives, so the bits do not
-depend on how the divides are grouped. The fast pass multiplies every
-weight by its child basis unmasked. Where a child is 0 the product is 0
-unless the weight is inf or nan (0/0 from coincident knots, overflow from
-subnormal spans or from |x| near the float limit), and such a product
-spreads to the result through every later level. So a result with a
-finite sum is exactly the masked one, bit for bit; otherwise the triangle
-is recomputed from the same weights with each term masked to 0 where its
-child basis is 0. The recompute is a private helper, not a second
-`basis_values` call, so one evaluated column is one `basis_values` call:
-the benchmark's tracer checks each chain's call count against the count its
-moves imply.
+`basis_values` runs each level of the triangle as one 2-D numpy expression:
+at the sampler's sizes the cost is the number of numpy calls, not the
+arithmetic. The fast pass multiplies every weight by its child basis
+unmasked. Where a child is 0 the product is 0 unless the weight is inf or
+nan (0/0 from coincident knots, overflow from subnormal spans or from |x|
+near the float limit), and such a product spreads to the result through
+every later level. So a result with a finite sum is exactly the masked one,
+bit for bit; otherwise the triangle is recomputed from the same weights
+with each term masked to 0 where its child basis is 0. The recompute is a
+private helper, not a second `basis_values` call, so one evaluated column
+is one call: the benchmark's tracer checks each chain's call count against
+the count its moves imply.
 """
 
 from __future__ import annotations
@@ -129,30 +123,3 @@ def _weight_rows(degree: int) -> tuple[np.ndarray, np.ndarray]:
     num, hi = np.concatenate(num), np.concatenate(hi)
     num.flags.writeable = hi.flags.writeable = False
     return num, hi
-
-
-def eval_basis(kv: KnotVector, x: float) -> float:
-    """Evaluate one B-spline basis function at a scalar point."""
-    return float(basis_values(kv.knots, kv.degree, x)[0])
-
-
-def basis_integral(kv: KnotVector) -> float:
-    """Exact integral of the basis over its support: (xi_last - xi_first)/(k+1)."""
-    lo, hi = kv.support
-    return (hi - lo) / (kv.degree + 1)
-
-
-def eval_mean(state, x) -> np.ndarray:
-    """Mean function: intercept plus the sum of coefficient * basis over all atoms.
-
-    `state` is a ModelState (duck-typed: needs .beta0 and .components with
-    atoms carrying .knots and .beta). Accepts scalar or array x; returns a
-    float for scalar input, an array otherwise.
-    """
-    scalar = np.ndim(x) == 0
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.full(xs.shape, state.beta0, dtype=float)
-    for comp in state.components.values():
-        for atom in comp.atoms:
-            out += atom.beta * basis_values(atom.knots.knots, atom.knots.degree, xs)
-    return float(out[0]) if scalar else out

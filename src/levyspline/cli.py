@@ -103,9 +103,9 @@ class RunConfig:
             raise ValueError("config fields q_lower/q_upper must satisfy 0 <= lower < upper <= 1")
 
     def hyperparams(self) -> Hyperparams:
-        return Hyperparams.make(self.degrees, r=self.r, R=self.R,
-                                a_gamma=self.a_gamma, b_gamma=self.b_gamma,
-                                move_probs=(self.p_birth, self.p_death, self.p_relocate))
+        return Hyperparams(self.degrees, r=self.r, R=self.R,
+                           a_gamma=self.a_gamma, b_gamma=self.b_gamma,
+                           move_probs=(self.p_birth, self.p_death, self.p_relocate))
 
     def chain_config(self) -> ChainConfig:
         return ChainConfig(iterations=self.iterations, burn_in=self.burn_in,
@@ -199,7 +199,7 @@ def _chain_overrides(args) -> dict:
         if v is not None:
             overrides[name] = v
     if getattr(args, "degrees", None) is not None:
-        overrides["degrees"] = tuple(int(p) for p in args.degrees.split(","))
+        overrides["degrees"] = _parse_value("degrees", args.degrees, "degrees")
     if getattr(args, "prior_only", False):
         overrides["prior_only"] = True
     if getattr(args, "full_recompute", False):
@@ -300,10 +300,8 @@ def parse_benchmark_spec(text: str) -> ExperimentSpec:
         raise ValueError(f"benchmark spec missing fields: {missing}")
     if values["function"] not in TEST_FUNCTIONS:
         raise ValueError(f"unknown test function {values['function']!r}")
-    hyper = Hyperparams.make(values["degrees"], r=values.get("r", 0.01),
-                             R=values.get("R", 0.01),
-                             a_gamma=values.get("a_gamma", 1.0),
-                             b_gamma=values.get("b_gamma", 1.0))
+    priors = {k: values[k] for k in ("r", "R", "a_gamma", "b_gamma") if k in values}
+    hyper = Hyperparams(values["degrees"], **priors)
     return ExperimentSpec(
         function=values["function"], n=values["n"], rsnr=values["rsnr"],
         replicates=values["replicates"], hyper=hyper,

@@ -1,4 +1,4 @@
-"""Probabilistic model: state, hyperparameters, priors, and the Gaussian likelihood.
+"""Probabilistic model: state, hyperparameters and priors.
 
 The mean function is an intercept plus a compound-Poisson sum of B-spline
 atoms, one Poisson-rate component per configured degree. The knot prior
@@ -10,13 +10,11 @@ use prior ratios in which this constant cancels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import KnotVector, eval_mean
-
-LOG_2PI = math.log(2.0 * math.pi)
+from .bspline import KnotVector
 
 
 class DegenerateDataError(ValueError):
@@ -75,9 +73,6 @@ class ModelState:
         if self.phi <= 0:
             raise ValueError(f"phi must be positive, got {self.phi}")
 
-    def component(self, k: int) -> DegreeComponent:
-        return self.components[k]
-
 
 @dataclass(frozen=True)
 class Hyperparams:
@@ -90,8 +85,8 @@ class Hyperparams:
     degrees: tuple[int, ...]
     r: float = 0.01
     R: float = 0.01
-    a_gamma: dict[int, float] = field(default_factory=dict)
-    b_gamma: dict[int, float] = field(default_factory=dict)
+    a_gamma: float | dict[int, float] = 1.0
+    b_gamma: float | dict[int, float] = 1.0
     move_probs: tuple[float, float, float] = (0.4, 0.4, 0.2)
 
     def __post_init__(self):
@@ -99,8 +94,9 @@ class Hyperparams:
         if not degrees or any(k < 0 for k in degrees):
             raise ValueError("degrees must be a non-empty set of non-negative ints")
         object.__setattr__(self, "degrees", degrees)
-        if self.r <= 0 or self.R <= 0:
-            raise ValueError("r and R must be positive")
+        for name, val in (("r", self.r), ("R", self.R)):
+            if not _positive(val):
+                raise ValueError(f"{name} must be finite and positive, got {val}")
         for name in ("a_gamma", "b_gamma"):
             val = getattr(self, name)
             if not isinstance(val, dict):
@@ -110,23 +106,19 @@ class Hyperparams:
                 missing = [k for k in degrees if k not in val]
                 if missing:
                     raise ValueError(f"{name} missing degrees {missing}")
-            if any(v <= 0 for v in val.values()):
-                raise ValueError(f"{name} entries must be positive")
+            if not all(map(_positive, val.values())):
+                raise ValueError(f"{name} entries must be finite and positive, got {val}")
             object.__setattr__(self, name, val)
-        pb, pd, pw = self.move_probs
-        if min(pb, pd, pw) < 0 or abs(pb + pd + pw - 1.0) > 1e-12:
-            raise ValueError(f"move probabilities must be >= 0 and sum to 1, got {self.move_probs}")
+        pb, pd, pw = probs = tuple(self.move_probs)
+        if (not all(map(math.isfinite, probs)) or min(probs) < 0
+                or abs(pb + pd + pw - 1.0) > 1e-12):
+            raise ValueError(
+                f"move probabilities must be finite, >= 0 and sum to 1, got {probs}")
+        object.__setattr__(self, "move_probs", probs)
 
-    @classmethod
-    def make(cls, degrees, r=0.01, R=0.01, a_gamma=1.0, b_gamma=1.0,
-             move_probs=(0.4, 0.4, 0.2)) -> "Hyperparams":
-        degrees = tuple(degrees)
-        if not isinstance(a_gamma, dict):
-            a_gamma = {k: float(a_gamma) for k in degrees}
-        if not isinstance(b_gamma, dict):
-            b_gamma = {k: float(b_gamma) for k in degrees}
-        return cls(degrees=degrees, r=r, R=R, a_gamma=a_gamma, b_gamma=b_gamma,
-                   move_probs=tuple(move_probs))
+
+def _positive(v: float) -> bool:
+    return math.isfinite(v) and v > 0
 
 
 @dataclass(frozen=True)
@@ -159,14 +151,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return len(self.x)
-
-
-def log_likelihood(state: ModelState, data: Dataset) -> float:
-    """Gaussian log-likelihood of the data under the state's mean function."""
-    resid = data.y - eval_mean(state, data.x)
-    n = data.n
-    return -0.5 * n * (LOG_2PI + math.log(state.sigma2)) \
-        - 0.5 * float(resid @ resid) / state.sigma2
 
 
 def _uniform_span(lo: float, hi: float) -> float:
@@ -206,19 +190,6 @@ def sample_atom(k: int, phi: float, domain: tuple[float, float],
     """Draw one atom from its prior (`draw_atom`'s values, validated)."""
     beta, knots = draw_atom(k, phi, domain, rng)
     return Atom(knots=KnotVector(degree=k, knots=knots), beta=beta)
-
-
-def atom_log_prior(atom: Atom, phi: float, domain: tuple[float, float]) -> float:
-    """Log prior density of one atom; -inf when a knot falls outside the domain."""
-    lo, hi = domain
-    knots = atom.knots.knots
-    if knots[0] < lo or knots[-1] > hi:
-        return -math.inf
-    k = atom.degree
-    log_beta = -0.5 * LOG_2PI - math.log(phi) - 0.5 * (atom.beta / phi) ** 2
-    # ordered-uniform density on the non-descending region
-    log_knots = math.lgamma(k + 3) - (k + 2) * math.log(hi - lo)
-    return log_beta + log_knots
 
 
 def coefficient_scale(data: Dataset) -> float:

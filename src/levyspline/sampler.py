@@ -1,54 +1,43 @@
 """Trans-dimensional sampler: birth/death/relocation moves plus Gibbs updates.
 
-Move ratios use the prior as the birth proposal, so the birth acceptance
-ratio collapses to lik-ratio * M_k/(J_k+1) * p_d/p_b, with the forced-birth
-correction at the J_k = 0 boundary (the birth proposal probability there is
-1, and the matching reverse-birth probability inside a death ratio at
-J_k = 1 is likewise 1). Relocation proposes each knot uniformly between its
-neighbors, an interval identical for the forward and reverse moves, so its
-acceptance ratio is the bare likelihood ratio; the relocated atom's
-coefficient is then re-drawn from its Normal full conditional.
+Births are proposed from the prior, so the birth acceptance ratio collapses
+to lik-ratio * M_k/(J_k+1) * p_d/p_b, with the forced-birth correction at
+the J_k = 0 boundary (the birth proposal probability there is 1, and so is
+the matching reverse-birth probability inside a death ratio at J_k = 1).
+Relocation proposes each knot uniformly between its neighbors, an interval
+identical for the forward and reverse moves, so its acceptance ratio is the
+bare likelihood ratio; the relocated atom's coefficient is then re-drawn
+from its Normal full conditional.
 
-`Chain` is the only move kernel. Every move evaluates its likelihood ratio
-incrementally from cached basis columns and fitted values, and the
-birth/death ratios come from `birth_ratio`/`death_ratio`, which the
-full-likelihood oracles `birth_log_ratio`/`death_log_ratio` share. Most
-proposals are rejected, so a birth evaluates its column on raw prior draws
-(`draw_atom`) and builds its validated `Atom` only when accepted. The
-residual `y - fitted` and its sum of squares are computed once per change
-to `fitted` and reused by every read until the next change (most proposals
-are rejected, so this saves a subtraction and a dot product on each); the
-`fitted` setter is the one place that drops them. A prior-only chain is the
-same chain fitted to no observations: every likelihood ratio is 0 and each
-Gibbs conditional is its prior. A full-recompute chain rebuilds the cache
-from its atoms, which sets `fitted` and so drops the residual, before each
-residual is read; tests check it against the incremental chain.
+`Chain` is the only move kernel and `birth_ratio`/`death_ratio` the only
+acceptance-ratio code. Every likelihood ratio is computed incrementally from
+cached basis columns and the residual `y - fitted`. Most proposals are
+rejected, so the residual and its sum of squares are kept until the
+`fitted` setter drops them, and a birth builds its validated `Atom` only
+when accepted. A prior-only chain is the same chain fitted to no
+observations; a full-recompute chain rebuilds the cache from its atoms
+before each residual read.
 
-`run_chain` records a curve on the data grid by summing the cached columns
-(`Chain.cached_mean`), which has `mean_on`'s bits: a cached column is
-exactly `basis_values` of its atom on the data, and the sum runs in the
-same order. Any other grid, and a prior-only chain's, goes through
-`mean_on`, which evaluates every atom.
+`run_chain` records a data-grid curve by summing the cached columns
+(`Chain.cached_mean`), which has `mean_on`'s bits; any other grid goes
+through `mean_on`, which evaluates every atom.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import KnotVector, basis_values, eval_mean
+from .bspline import KnotVector, basis_values
 from .model import (
     Atom,
     Dataset,
-    DegreeComponent,
     Hyperparams,
     ModelState,
     draw_atom,
     init_state,
-    log_likelihood,
     sample_atom,  # noqa: F401  bound here for span tracing; births call draw_atom
     uniform,
 )
@@ -79,6 +68,8 @@ class ChainConfig:
             raise ValueError("burn_in must be smaller than iterations")
         if self.retained == 0:
             raise ValueError("config retains no samples")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def retained(self) -> int:
@@ -90,14 +81,12 @@ class ChainOutput:
     """Thinned post-burn-in records plus per-move acceptance counters."""
 
     config: ChainConfig
-    grid: np.ndarray | None
     curves: np.ndarray | None
     sigma2: np.ndarray
     J: dict[int, np.ndarray]
     M: dict[int, np.ndarray]
     attempts: dict[tuple[str, int], int]
     accepts: dict[tuple[str, int], int]
-    states: list[ModelState] | None = None
 
     def __post_init__(self):
         for key, acc in self.accepts.items():
@@ -216,15 +205,8 @@ class Chain:
     def _accept(self, log_ratio: float) -> bool:
         return math.log(self.rng.random() + _TINY) < log_ratio
 
-    def snapshot(self) -> ModelState:
-        components = {
-            k: DegreeComponent(degree=k, atoms=list(atoms), M=self.M[k])
-            for k, atoms in self.atoms.items()
-        }
-        return ModelState(beta0=self.beta0, components=components,
-                          sigma2=self.sigma2, phi=self.phi)
-
     def mean_on(self, grid: np.ndarray) -> np.ndarray:
+        """The mean on any `grid`, evaluating every atom's basis there."""
         out = np.full(len(grid), self.beta0)
         for k, atoms in self.atoms.items():
             for a in atoms:
@@ -359,36 +341,10 @@ def death_ratio(llr: float, M: float, J: int, hyper: Hyperparams) -> float:
     return llr + math.log(J) - _log(M) + _log(reverse_pb) - _log(pd)
 
 
-def birth_log_ratio(state: ModelState, k: int, atom: Atom, data: Dataset,
-                    hyper: Hyperparams) -> float:
-    """Full-likelihood oracle of `Chain.birth`'s log ratio for appending `atom`."""
-    comp = state.components[k]
-    proposed = _with_atoms(state, k, comp.atoms + [atom])
-    llr = log_likelihood(proposed, data) - log_likelihood(state, data)
-    return birth_ratio(llr, comp.M, comp.count, hyper)
-
-
-def death_log_ratio(state: ModelState, k: int, r: int, data: Dataset,
-                    hyper: Hyperparams) -> float:
-    """Full-likelihood oracle of `Chain.death`'s log ratio for removing atom r."""
-    comp = state.components[k]
-    if comp.count == 0:
-        raise RuntimeError("death ratio undefined for an empty component")
-    proposed = _with_atoms(state, k, comp.atoms[:r] + comp.atoms[r + 1:])
-    llr = log_likelihood(proposed, data) - log_likelihood(state, data)
-    return death_ratio(llr, comp.M, comp.count, hyper)
-
-
-def _with_atoms(state: ModelState, k: int, atoms: list[Atom]) -> ModelState:
-    comp = dataclasses.replace(state.components[k], atoms=list(atoms))
-    return dataclasses.replace(state, components={**state.components, k: comp})
-
-
 def run_chain(data: Dataset, hyper: Hyperparams, cfg: ChainConfig,
               grid: np.ndarray | None = None, prior_only: bool = False,
               full_recompute: bool = False, moves_per_degree: int = 1,
-              beta_sweep: bool = False, store_curves: bool = True,
-              keep_states: bool = False) -> ChainOutput:
+              beta_sweep: bool = False, store_curves: bool = True) -> ChainOutput:
     """Run the full sampler: init from the prior, sweep, retain thinned samples."""
     rng = np.random.default_rng(cfg.seed)
     chain = Chain(data, hyper, rng, prior_only=prior_only,
@@ -403,7 +359,6 @@ def run_chain(data: Dataset, hyper: Hyperparams, cfg: ChainConfig,
     sigma2_trace = []
     J_trace = {k: [] for k in hyper.degrees}
     M_trace = {k: [] for k in hyper.degrees}
-    states = [] if keep_states else None
     for it in range(cfg.iterations):
         chain.sweep((attempts, accepts), moves_per_degree=moves_per_degree,
                     beta_sweep=beta_sweep)
@@ -415,36 +370,23 @@ def run_chain(data: Dataset, hyper: Hyperparams, cfg: ChainConfig,
                 M_trace[k].append(chain.M[k])
             if store_curves:
                 curves[row] = chain.cached_mean() if on_data else chain.mean_on(grid)
-            if keep_states:
-                states.append(chain.snapshot())
     return ChainOutput(
         config=cfg,
-        grid=grid if store_curves else None,
         curves=curves,
         sigma2=np.asarray(sigma2_trace),
         J={k: np.asarray(v, dtype=int) for k, v in J_trace.items()},
         M={k: np.asarray(v) for k, v in M_trace.items()},
         attempts=attempts,
         accepts=accepts,
-        states=states,
     )
 
 
-def posterior_curve(out: ChainOutput, grid: np.ndarray | None = None,
-                    levels: tuple[float, float] = (0.025, 0.975)):
-    """Pointwise posterior mean and empirical quantile band over retained samples."""
+def posterior_curve(out: ChainOutput, levels: tuple[float, float] = (0.025, 0.975)):
+    """Pointwise posterior mean and empirical quantile band of the stored curves."""
     if out.retained == 0:
         raise ValueError("no retained samples")
-    if grid is None or (out.grid is not None and np.array_equal(grid, out.grid)):
-        if out.curves is None:
-            raise ValueError("chain output stored no curves")
-        curves = out.curves
-    elif out.states is not None:
-        grid = np.asarray(grid, dtype=float)
-        curves = np.asarray([eval_mean(s, grid) for s in out.states])
-    else:
-        raise ValueError("grid differs from the stored one and no states were kept")
-    mean = curves.mean(axis=0)
+    if out.curves is None:
+        raise ValueError("chain output stored no curves")
     # one transposed copy puts each grid point's samples in a row, partitioned in place
-    lower, upper = np.quantile(curves.T.copy(), levels, axis=1, overwrite_input=True)
-    return mean, lower, upper
+    lower, upper = np.quantile(out.curves.T.copy(), levels, axis=1, overwrite_input=True)
+    return out.curves.mean(axis=0), lower, upper

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
-from levyspline.bspline import KnotVector, basis_integral, basis_values
+from levyspline.bspline import KnotVector, basis_values
 from levyspline.bench import ExperimentSpec, run_experiment
 from levyspline.cli import main, parse_benchmark_spec
 from levyspline.model import (
@@ -26,11 +26,10 @@ from levyspline.reference import STUDY_HYPERPARAMS
 from levyspline.sampler import (
     Chain,
     ChainConfig,
-    birth_log_ratio,
-    death_log_ratio,
     run_chain,
 )
 from levyspline.signals import generate_dataset
+from oracles import basis_integral, birth_log_ratio, death_log_ratio, eval_basis
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -63,7 +62,7 @@ def run_benchmark_criterion(criterion, function, rsnr, degrees, threshold,
                             r=0.01, a_gamma=1.0):
     spec = ExperimentSpec(
         function=function, n=128, rsnr=rsnr, replicates=10,
-        hyper=Hyperparams.make(degrees, r=r, R=0.01, a_gamma=a_gamma,
+        hyper=Hyperparams(degrees, r=r, R=0.01, a_gamma=a_gamma,
                                b_gamma=1.0),
         iterations=50_000, burn_in=25_000, thin=10, base_seed=0,
         threshold=threshold)
@@ -187,8 +186,6 @@ class TestBasisPropertySuite:
 def _fd(kv, x, order, h):
     from math import comb
 
-    from levyspline.bspline import eval_basis
-
     acc = 0.0
     for m in range(order + 1):
         acc += (-1) ** m * comb(order, m) * eval_basis(kv, x + (order / 2 - m) * h)
@@ -205,7 +202,7 @@ class TestSamplerCorrectness:
     def test_criterion_7a_birth_death_reciprocity(self):
         rng = np.random.default_rng(7)
         data = generate_dataset("heavisine", 48, 3.0, seed=1)
-        hyper = Hyperparams.make((0, 1, 2, 3))
+        hyper = Hyperparams((0, 1, 2, 3))
         worst = 0.0
         trials = 500
         for _ in range(trials):
@@ -233,12 +230,12 @@ class TestSamplerCorrectness:
         details = []
         data = generate_dataset("blocks", 64, 3.0, seed=2)
         rng = np.random.default_rng(8)
-        hyper = Hyperparams.make((0,), r=2.0, R=1.0, a_gamma=2.0, b_gamma=3.0)
+        hyper = Hyperparams((0,), r=2.0, R=1.0, a_gamma=2.0, b_gamma=3.0)
 
         # coefficient conditional: N(mu, v) computed independently
         atom = sample_atom(0, 1.2, data.domain, rng)
         state = _make_state({0: [atom]}, sigma2=0.5, phi=1.2)
-        chain = Chain(data, Hyperparams.make((0,)), rng, state=state)
+        chain = Chain(data, Hyperparams((0,)), rng, state=state)
         col = basis_values(atom.knots.knots, 0, data.x)
         v = 1.0 / (float(col @ col) / 0.5 + 1.0 / 1.2**2)
         mu = v * float(data.y @ col) / 0.5
@@ -289,7 +286,7 @@ class TestSamplerCorrectness:
         a, b = 2.0, 1.0
         sweeps = 150_000
         data = generate_dataset("blocks", 16, 3.0, seed=3)
-        hyper = Hyperparams.make((0,), a_gamma=a, b_gamma=b)
+        hyper = Hyperparams((0,), a_gamma=a, b_gamma=b)
         cfg = ChainConfig(iterations=sweeps, burn_in=10_000, seed=42)
         out = run_chain(data, hyper, cfg, prior_only=True, store_curves=False)
         target = a / b
@@ -345,7 +342,7 @@ class TestDeterminism:
 class TestDeltaLikelihood:
     def test_criterion_9_incremental_vs_full_recompute(self):
         data = generate_dataset("blocks", 128, 3.0, seed=4)
-        hyper = Hyperparams.make((0, 2))
+        hyper = Hyperparams((0, 2))
         cfg = ChainConfig(iterations=3000, burn_in=1000, thin=5, seed=17)
         fast = run_chain(data, hyper, cfg)
         slow = run_chain(data, hyper, cfg, full_recompute=True)

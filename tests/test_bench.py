@@ -20,7 +20,7 @@ from levyspline.reference import REFERENCE_MSE, STUDY_HYPERPARAMS, reference_mse
 
 def small_spec(**over):
     kwargs = dict(function="blocks", n=32, rsnr=3.0, replicates=2,
-                  hyper=Hyperparams.make((0,)), iterations=300, burn_in=100,
+                  hyper=Hyperparams((0,)), iterations=300, burn_in=100,
                   thin=4, base_seed=17, threshold=None)
     kwargs.update(over)
     return ExperimentSpec(**kwargs)
@@ -165,5 +165,5 @@ class TestReferenceConstants:
 
     def test_study_hyperparams_construct(self):
         for settings in STUDY_HYPERPARAMS.values():
-            h = Hyperparams.make(**settings)
+            h = Hyperparams(**settings)
             assert h.degrees == tuple(sorted(settings["degrees"]))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,19 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             parse_config("p_birth = 0.9\n")  # moves no longer sum to 1
 
+    @pytest.mark.parametrize("text, message", [
+        ("r = nan", "r must be finite and positive, got nan"),
+        ("R = inf", "R must be finite and positive, got inf"),
+        ("a_gamma = inf", "a_gamma entries must be finite and positive"),
+        ("b_gamma = nan", "b_gamma entries must be finite and positive"),
+        ("p_birth = nan\np_death = 0.5\np_relocate = 0.5",
+         "move probabilities must be finite, >= 0 and sum to 1, got (nan, 0.5, 0.5)"),
+        ("seed = -1", "seed must be non-negative, got -1"),
+    ], ids=["r-nan", "R-inf", "a_gamma-inf", "b_gamma-nan", "p_birth-nan", "seed-negative"])
+    def test_malformed_numeric_setting_names_field(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_config(text + "\n")
+
     def test_dump_round_trip(self):
         cfg = parse_config("degrees = 1,3\nr = 0.125\nbeta_sweep = true\n")
         assert parse_config(cfg.dump()) == cfg
@@ -144,6 +158,25 @@ class TestBenchmarkSpec:
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="unknown field"):
             parse_benchmark_spec("widgets = 3\n")
+
+    _SPEC = "function = heavisine\nn = 16\nrsnr = inf\nreplicates = 1\ndegrees = 0\n"
+
+    def test_noiseless_rsnr_accepted(self):
+        # `rsnr = inf` is the noiseless sentinel, not a malformed value
+        assert parse_benchmark_spec(self._SPEC).rsnr == float("inf")
+
+    @pytest.mark.parametrize("line, message", [
+        ("r = nan", "r must be finite and positive, got nan"),
+        ("R = inf", "R must be finite and positive, got inf"),
+        ("a_gamma = inf", "a_gamma entries must be finite and positive"),
+        ("b_gamma = nan", "b_gamma entries must be finite and positive"),
+        ("threshold = nan", "threshold must be finite, got nan"),
+        ("seed = -3", "seed must be non-negative, got -3"),
+    ], ids=["r-nan", "R-inf", "a_gamma-inf", "b_gamma-nan", "threshold-nan",
+            "seed-negative"])
+    def test_malformed_numeric_setting_names_field(self, line, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_benchmark_spec(self._SPEC + line + "\n")
 
 
 class TestSimulateCommand:
@@ -275,6 +308,44 @@ class TestFitCommand:
         two = (tmp_path / "two_trace.csv").read_text()
         assert one.splitlines()[0] == two.splitlines()[0]
         assert one != two
+
+    @pytest.mark.parametrize("config, flags, message", [
+        ("r = nan\n", [], "error: r must be finite and positive, got nan"),
+        (None, ["--seed", "-1"], "error: seed must be non-negative, got -1"),
+    ], ids=["config-r-nan", "seed-negative"])
+    def test_malformed_setting_exits_1(self, tmp_path, capsys, config, flags, message):
+        # rejected before the chain runs: no summary with a NaN is written
+        data = self._simulate(tmp_path)
+        if config is not None:
+            (tmp_path / "bad.txt").write_text(config)
+            flags = ["--config", str(tmp_path / "bad.txt"), *flags]
+        rc = main(["fit", data, "--out-prefix", str(tmp_path / "bad"),
+                   "--iterations", "200", "--burn-in", "50", "--degrees", "0", *flags])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "bad_summary.json").exists()
+
+    def test_degrees_flag_parsed_as_config_line(self, tmp_path, capsys):
+        # `--degrees` and a `degrees =` line go through one parser
+        data = self._simulate(tmp_path)
+        config = tmp_path / "deg.txt"
+        config.write_text("degrees = 0,,1,\n")
+        common = ["--iterations", "200", "--burn-in", "50", "--seed", "3", "--dump-config"]
+        for prefix, extra in (("flag", ["--degrees", "0,,1"]),
+                              ("line", ["--config", str(config)])):
+            assert main(["fit", data, "--out-prefix", str(tmp_path / prefix),
+                         *common, *extra]) == 0
+        flag = parse_config((tmp_path / "flag_config.txt").read_text())
+        line = parse_config((tmp_path / "line_config.txt").read_text())
+        assert flag.degrees == line.degrees == (0, 1)
+        for suffix in ("_curve.csv", "_summary.json"):
+            assert ((tmp_path / f"flag{suffix}").read_bytes()
+                    == (tmp_path / f"line{suffix}").read_bytes())
+        capsys.readouterr()
+        assert main(["fit", data, "--out-prefix", str(tmp_path / "bad"),
+                     "--degrees", "a"]) == 1
+        assert ("config field 'degrees': cannot parse value 'a'"
+                in capsys.readouterr().err)
 
     def test_dump_config_round_trips(self, tmp_path):
         data = self._simulate(tmp_path)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from levyspline.bspline import KnotVector, eval_basis
+from levyspline.bspline import KnotVector
 from levyspline.model import (
     Atom,
     Dataset,
@@ -12,15 +12,14 @@ from levyspline.model import (
     DegreeComponent,
     Hyperparams,
     ModelState,
-    atom_log_prior,
     coefficient_scale,
     draw_atom,
     init_state,
-    log_likelihood,
     sample_atom,
     uniform,
 )
 from levyspline.signals import generate_dataset
+from oracles import atom_log_prior, eval_basis, log_likelihood
 
 LOG_2PI = math.log(2 * math.pi)
 
@@ -51,11 +50,18 @@ class TestTypes:
 
     def test_hyperparams_move_probs_must_sum_to_one(self):
         with pytest.raises(ValueError):
-            Hyperparams.make((0,), move_probs=(0.5, 0.4, 0.2))
+            Hyperparams((0,), move_probs=(0.5, 0.4, 0.2))
 
     def test_hyperparams_scalar_gamma_broadcast(self):
-        h = Hyperparams.make((0, 2), a_gamma=5.0)
+        h = Hyperparams((0, 2), a_gamma=5.0)
         assert h.a_gamma == {0: 5.0, 2: 5.0}
+
+    def test_hyperparams_defaults_per_degree(self):
+        h = Hyperparams([2, 0], move_probs=[0.2, 0.3, 0.5])
+        assert h.degrees == (0, 2)
+        assert (h.r, h.R) == (0.01, 0.01)
+        assert h.a_gamma == h.b_gamma == {0: 1.0, 2: 1.0}
+        assert h.move_probs == (0.2, 0.3, 0.5)
 
     def test_dataset_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -249,13 +255,13 @@ class TestInitState:
         return Dataset(x=np.array([0.0, 1.0]), y=np.array([1.0, 3.0]))
 
     def test_plugin_formulas(self):
-        hyper = Hyperparams.make((0, 1))
+        hyper = Hyperparams((0, 1))
         state = init_state(self._data(), hyper, np.random.default_rng(3))
         assert state.beta0 == approx(2.0)
         assert state.phi == approx(1.0)
 
     def test_component_degrees_match(self):
-        hyper = Hyperparams.make((0, 2, 3))
+        hyper = Hyperparams((0, 2, 3))
         state = init_state(self._data(), hyper, np.random.default_rng(4))
         assert sorted(state.components) == [0, 2, 3]
         for k, comp in state.components.items():
@@ -263,7 +269,7 @@ class TestInitState:
             assert comp.count == len(comp.atoms)
 
     def test_deterministic_given_seed(self):
-        hyper = Hyperparams.make((0, 1))
+        hyper = Hyperparams((0, 1))
         s1 = init_state(self._data(), hyper, np.random.default_rng(7))
         s2 = init_state(self._data(), hyper, np.random.default_rng(7))
         assert s1 == s2
@@ -271,14 +277,14 @@ class TestInitState:
     def test_constant_y_rejected(self):
         data = Dataset(x=np.array([0.0, 1.0]), y=np.array([2.0, 2.0]))
         with pytest.raises(DegenerateDataError):
-            init_state(data, Hyperparams.make((0,)), np.random.default_rng(0))
+            init_state(data, Hyperparams((0,)), np.random.default_rng(0))
         with pytest.raises(DegenerateDataError):
             coefficient_scale(data)
 
     def test_random_components_match_prior_moments(self):
         # r=6, R=1: sigma2 ~ IG(3, 3), mean 1.5; M ~ Ga(2, 1), mean 2;
         # J | M ~ Poi(M) so E[J] = 2, Var[J] = E[M] + Var[M] = 4
-        hyper = Hyperparams.make((0,), r=6.0, R=1.0, a_gamma=2.0, b_gamma=1.0)
+        hyper = Hyperparams((0,), r=6.0, R=1.0, a_gamma=2.0, b_gamma=1.0)
         data = self._data()
         rng = np.random.default_rng(11)
         n = 10_000

@@ -6,27 +6,25 @@ import pytest
 import scipy.stats as st
 from pytest import approx
 
-from levyspline.bspline import KnotVector, eval_mean
+from levyspline.bspline import KnotVector
 from levyspline.model import (
     Atom,
     Dataset,
     DegreeComponent,
     Hyperparams,
     ModelState,
-    log_likelihood,
     sample_atom,
 )
 from levyspline.sampler import (
     Chain,
     ChainConfig,
     ChainOutput,
-    birth_log_ratio,
     choose_move,
-    death_log_ratio,
     posterior_curve,
     run_chain,
 )
 from levyspline.signals import generate_dataset
+from oracles import birth_log_ratio, death_log_ratio, log_likelihood
 from test_bspline import _reference_basis
 
 
@@ -40,7 +38,7 @@ def make_state(atoms_by_k, sigma2=1.0, beta0=0.0, M=1.0, phi=1.0):
     return ModelState(beta0=beta0, components=comps, sigma2=sigma2, phi=phi)
 
 
-HYPER0 = Hyperparams.make((0,))
+HYPER0 = Hyperparams((0,))
 
 
 class TestChainConfig:
@@ -61,12 +59,12 @@ class TestChooseMove:
         assert all(choose_move(HYPER0, 0, rng) == "birth" for _ in range(100))
 
     def test_degenerate_probabilities(self):
-        hyper = Hyperparams.make((0,), move_probs=(1.0, 0.0, 0.0))
+        hyper = Hyperparams((0,), move_probs=(1.0, 0.0, 0.0))
         rng = np.random.default_rng(0)
         assert all(choose_move(hyper, 5, rng) == "birth" for _ in range(100))
 
     def test_empirical_frequencies(self):
-        hyper = Hyperparams.make((0,), move_probs=(0.4, 0.4, 0.2))
+        hyper = Hyperparams((0,), move_probs=(0.4, 0.4, 0.2))
         rng = np.random.default_rng(1)
         n = 100_000
         counts = {"birth": 0, "death": 0, "relocate": 0}
@@ -99,7 +97,7 @@ class TestBirthDeathRatios:
     def test_reciprocity_random_states(self):
         rng = np.random.default_rng(42)
         data = generate_dataset("blocks", 32, 3.0, seed=1)
-        hyper = Hyperparams.make((0, 1, 2))
+        hyper = Hyperparams((0, 1, 2))
         for trial in range(200):
             k = int(rng.integers(0, 3))
             J = int(rng.integers(0, 4))  # includes the forced-birth boundary
@@ -121,7 +119,7 @@ class TestBirthDeathRatios:
         # generator draws the same atom (birth) or index (death) for the oracle
         rng = np.random.default_rng(43)
         data = generate_dataset("heavisine", 48, 3.0, seed=1)
-        hyper = Hyperparams.make((0, 1, 2, 3))
+        hyper = Hyperparams((0, 1, 2, 3))
         worst, boundary = 0.0, 0
         for _ in range(500):
             k = int(rng.integers(0, 4))
@@ -197,7 +195,7 @@ class TestRelocation:
     def test_preserves_count_and_ordering(self):
         data = generate_dataset("heavisine", 32, 5.0, seed=3)
         rng = np.random.default_rng(5)
-        hyper = Hyperparams.make((2,))
+        hyper = Hyperparams((2,))
         state = make_state({2: [sample_atom(2, 1.0, data.domain, rng)
                                 for _ in range(2)]}, sigma2=0.5)
         chain = Chain(data, hyper, rng, state=state)
@@ -214,7 +212,7 @@ class TestRelocation:
         # beta = 0: every per-knot likelihood ratio is exactly 1
         data = flat_data(9)
         rng = np.random.default_rng(6)
-        hyper = Hyperparams.make((1,))
+        hyper = Hyperparams((1,))
         knots = KnotVector(1, (0.2, 0.5, 0.8))
         for _ in range(50):
             chain = Chain(data, hyper, rng, state=make_state({1: [Atom(knots, 0.0)]}))
@@ -225,7 +223,7 @@ class TestRelocation:
     def test_prior_only_always_accepts(self):
         data = flat_data(9)
         rng = np.random.default_rng(7)
-        hyper = Hyperparams.make((0,))
+        hyper = Hyperparams((0,))
         state = make_state({0: [Atom(KnotVector(0, (0.3, 0.6)), 1.0)]})
         chain = Chain(data, hyper, rng, state=state, prior_only=True)
         for _ in range(50):
@@ -248,7 +246,7 @@ class TestRelocation:
                     best, best_ll = (a, b), ll
         assert best == approx((0.3, 0.7), abs=0.021)
         rng = np.random.default_rng(8)
-        hyper = Hyperparams.make((0,))
+        hyper = Hyperparams((0,))
         chain = Chain(data, hyper, rng,
                       state=make_state({0: [Atom(KnotVector(0, (0.1, 0.9)), 3.0)]},
                                        sigma2=0.01, phi=3.0))
@@ -334,7 +332,7 @@ def gibbs_sigma2_draws(state, data, hyper, rng, n):
 
 class TestGibbsM:
     def test_no_atoms_conjugate(self):
-        hyper = Hyperparams.make((0,), a_gamma=1.0, b_gamma=1.0)
+        hyper = Hyperparams((0,), a_gamma=1.0, b_gamma=1.0)
         rng = np.random.default_rng(12)
         n = 100_000
         draws = gibbs_M_draws([], hyper, rng, n)
@@ -345,7 +343,7 @@ class TestGibbsM:
     def test_seven_atoms_conjugate(self):
         rng = np.random.default_rng(13)
         atoms = [sample_atom(0, 1.0, (0.0, 1.0), rng) for _ in range(7)]
-        hyper = Hyperparams.make((0,), a_gamma=1.0, b_gamma=1.0)
+        hyper = Hyperparams((0,), a_gamma=1.0, b_gamma=1.0)
         n = 100_000
         draws = gibbs_M_draws(atoms, hyper, rng, n)
         # Ga(8, rate 2): mean 4, variance 2
@@ -365,7 +363,7 @@ class TestGibbsSigma2:
         n = 128
         data = Dataset(x=np.linspace(0, 1, n), y=np.full(n, 3.0),
                        domain=(0.0, 1.0))
-        hyper = Hyperparams.make((0,), r=2.0, R=1.0)
+        hyper = Hyperparams((0,), r=2.0, R=1.0)
         state = make_state({0: []}, beta0=3.0, sigma2=1.0)
         rng = np.random.default_rng(14)
         draws = gibbs_sigma2_draws(state, data, hyper, rng, 10_000)
@@ -377,7 +375,7 @@ class TestGibbsSigma2:
     def test_moment_against_invgamma_oracle(self):
         data = generate_dataset("heavisine", 64, 5.0, seed=6)
         state = make_state({0: []}, beta0=float(data.y.mean()), sigma2=1.0)
-        hyper = Hyperparams.make((0,), r=2.0, R=1.0)
+        hyper = Hyperparams((0,), r=2.0, R=1.0)
         resid = data.y - data.y.mean()
         r0 = 2.0 + 64
         shape = r0 / 2
@@ -411,20 +409,23 @@ class TestRunChain:
 
     def test_state_validity_preserved(self):
         data = generate_dataset("modified_heavisine", 32, 3.0, seed=9)
-        hyper = Hyperparams.make((0, 1))
+        hyper = Hyperparams((0, 1))
         cfg = ChainConfig(iterations=200, seed=5)
-        out = run_chain(data, hyper, cfg, keep_states=True)
-        for i, s in enumerate(out.states):
-            assert s.sigma2 > 0
-            for k, comp in s.components.items():
-                assert comp.count == out.J[k][i]
-                for a in comp.atoms:
+        out = run_chain(data, hyper, cfg)
+        retained = 0
+        for i, chain in enumerate(replay_chain(data, hyper, cfg)):
+            assert chain.sigma2 == out.sigma2[i] > 0
+            for k, atoms in chain.atoms.items():
+                assert len(atoms) == out.J[k][i]
+                for a in atoms:
                     ks = a.knots.knots
                     assert all(u <= v for u, v in zip(ks, ks[1:]))
+            retained += 1
+        assert retained == out.retained == 200
 
     def test_incremental_matches_full_recompute(self):
         data = generate_dataset("blocks", 64, 3.0, seed=10)
-        hyper = Hyperparams.make((0, 1))
+        hyper = Hyperparams((0, 1))
         cfg = ChainConfig(iterations=2000, burn_in=500, thin=5, seed=21)
         fast = run_chain(data, hyper, cfg)
         slow = run_chain(data, hyper, cfg, full_recompute=True)
@@ -439,7 +440,7 @@ class TestRunChain:
         # the (level, index) Cox-de Boor oracle would run it, on the data
         # grid (cached columns) and off it (`mean_on`)
         data = generate_dataset("modified_heavisine", 64, 5.0, seed=14)
-        hyper = Hyperparams.make((0, 1, 2, 3))
+        hyper = Hyperparams((0, 1, 2, 3))
         cfg = ChainConfig(iterations=300, burn_in=100, thin=2, seed=15)
         grid = np.linspace(data.domain[0], data.domain[1], 97)
         fast = [run_chain(data, hyper, cfg), run_chain(data, hyper, cfg, grid=grid)]
@@ -460,19 +461,21 @@ class TestRunChain:
     def test_data_grid_curves_match_eval_mean(self, mode):
         # data-grid curves are summed from the cached columns (the prior-only
         # chain caches none and goes through `mean_on`); either way each
-        # curve has the bits of evaluating the retained state afresh
+        # curve has the bits of evaluating the retained state afresh, which
+        # the replayed chain's `mean_on` does
         data = generate_dataset("modified_heavisine", 64, 5.0, seed=16)
-        hyper = Hyperparams.make((0, 1, 2, 3))
+        hyper = Hyperparams((0, 1, 2, 3))
         cfg = ChainConfig(iterations=300, burn_in=100, thin=2, seed=17)
-        out = run_chain(data, hyper, cfg, keep_states=True, **mode)
-        assert len(out.states) == len(out.curves) == 100
+        out = run_chain(data, hyper, cfg, **mode)
+        fresh = [chain.mean_on(data.x) for chain in replay_chain(data, hyper, cfg, **mode)]
+        assert len(fresh) == len(out.curves) == 100
         assert sum(out.J[k][-1] for k in hyper.degrees) > 0
-        for curve, state in zip(out.curves, out.states):
-            assert curve.tobytes() == eval_mean(state, data.x).tobytes()
+        for curve, want in zip(out.curves, fresh):
+            assert curve.tobytes() == want.tobytes()
 
     def test_prior_only_recovers_prior_means(self):
         data = generate_dataset("blocks", 16, 3.0, seed=11)
-        hyper = Hyperparams.make((0,), a_gamma=2.0, b_gamma=1.0)
+        hyper = Hyperparams((0,), a_gamma=2.0, b_gamma=1.0)
         cfg = ChainConfig(iterations=30_000, burn_in=5_000, seed=3)
         out = run_chain(data, hyper, cfg, prior_only=True, store_curves=False)
         for trace, target in ((out.M[0], 2.0), (out.J[0].astype(float), 2.0)):
@@ -491,7 +494,7 @@ class TestRunChain:
     def test_moves_per_degree_sets_moves_per_sweep(self, moves):
         # each sweep makes `moves_per_degree` moves per degree, 1 by default
         data = generate_dataset("modified_heavisine", 32, 3.0, seed=13)
-        hyper = Hyperparams.make((0, 2))
+        hyper = Hyperparams((0, 2))
         cfg = ChainConfig(iterations=300, burn_in=100, seed=6)
         kwargs = {} if moves is None else {"moves_per_degree": moves}
         out = run_chain(data, hyper, cfg, **kwargs)
@@ -509,7 +512,7 @@ class TestResidualCache:
         # `fitted` (accepted birth, death or relocation, gibbs_beta, a cache
         # rebuild) drops the cached pair
         data = generate_dataset("modified_heavisine", 64, 5.0, seed=18)
-        hyper = Hyperparams.make((0, 1, 2, 3))
+        hyper = Hyperparams((0, 1, 2, 3))
         chain = Chain(data, hyper, np.random.default_rng(19))
         calls = dict.fromkeys(("birth", "death", "relocate", "gibbs_beta",
                                "gibbs_M", "gibbs_sigma2", "_llr"), 0)
@@ -548,6 +551,19 @@ class TestResidualCache:
         assert rebuilt > 0
 
 
+def replay_chain(data, hyper, cfg, **mode):
+    """`run_chain`'s chain for `cfg`, yielded live after each retained sweep.
+
+    It is seeded and swept as `run_chain` does; recording a sample draws no
+    random numbers, so the two chains stay in step.
+    """
+    chain = Chain(data, hyper, np.random.default_rng(cfg.seed), **mode)
+    for it in range(cfg.iterations):
+        chain.sweep()
+        if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == cfg.thin - 1:
+            yield chain
+
+
 def batch_mean_se(trace, batches=50):
     """Batch-means standard error for an autocorrelated trace."""
     trace = np.asarray(trace, dtype=float)
@@ -559,10 +575,9 @@ def batch_mean_se(trace, batches=50):
 class TestPosteriorCurve:
     def _out(self, curves):
         curves = np.asarray(curves, dtype=float)
-        m, g = curves.shape
+        m = len(curves)
         return ChainOutput(
-            config=ChainConfig(iterations=m, seed=0),
-            grid=np.linspace(0, 1, g), curves=curves,
+            config=ChainConfig(iterations=m, seed=0), curves=curves,
             sigma2=np.ones(m), J={0: np.zeros(m, dtype=int)},
             M={0: np.ones(m)}, attempts={}, accepts={})
 
@@ -589,7 +604,7 @@ class TestPosteriorCurve:
         # both band levels come from one quantile pass over the curves,
         # with the bits of one `np.quantile` call per level
         data = generate_dataset("modified_heavisine", 64, 5.0, seed=20)
-        out = run_chain(data, Hyperparams.make((0, 2)),
+        out = run_chain(data, Hyperparams((0, 2)),
                         ChainConfig(iterations=400, burn_in=100, seed=21))
         if levels is None:
             mean, lo, hi = posterior_curve(out)
@@ -611,6 +626,13 @@ class TestPosteriorCurve:
         assert lo.tobytes() == want[0].tobytes()
         assert hi.tobytes() == want[1].tobytes()
 
+    def test_no_stored_curves_rejected(self):
+        out = run_chain(generate_dataset("blocks", 8, 3.0, seed=13), HYPER0,
+                        ChainConfig(iterations=20, seed=0), store_curves=False)
+        assert out.curves is None and out.retained == 20
+        with pytest.raises(ValueError, match="chain output stored no curves"):
+            posterior_curve(out)
+
     def test_empty_retained_rejected(self):
         out = run_chain(generate_dataset("blocks", 8, 3.0, seed=13),
                         HYPER0, ChainConfig(iterations=2, seed=0))
@@ -621,7 +643,6 @@ class TestPosteriorCurve:
 
     def test_counter_invariant_enforced(self):
         with pytest.raises(ValueError):
-            ChainOutput(config=ChainConfig(iterations=1, seed=0), grid=None,
-                        curves=None, sigma2=np.ones(1),
+            ChainOutput(config=ChainConfig(iterations=1, seed=0), curves=None, sigma2=np.ones(1),
                         J={0: np.zeros(1, dtype=int)}, M={0: np.ones(1)},
                         attempts={("birth", 0): 1}, accepts={("birth", 0): 2})
