@@ -18,8 +18,10 @@
 #     a_gamma, b_gamma, p_birth, p_death, p_relocate) plus moves_per_degree,
 #     beta_sweep and q_lower/q_upper, with --save-trace and --dump-config;
 #   - a 2-replicate bumps benchmark in json whose spec sets r, R, a_gamma
-#     and b_gamma.
-# That is 64 files per run, inputs and stdout/stderr/status included.
+#     and b_gamma;
+#   - a benchmark whose spec has burn_in >= iterations, which must fail
+#     with the same message and status.
+# That is 68 files per run, inputs and stdout/stderr/status included.
 # Everything is written under a temporary directory that is removed on exit.
 # Prints each file that differs and exits 1 if any does, 0 otherwise.
 set -eu
@@ -92,6 +94,15 @@ burn_in = 500
 thin = 5
 seed = 4
 EOF
+    cat >spec_bad_chain.txt <<'EOF'
+function = blocks
+n = 32
+rsnr = 3
+replicates = 2
+degrees = 0
+iterations = 100
+burn_in = 100
+EOF
     run sim_blocks simulate blocks --n 128 --rsnr 3 --seed 5 \
         --out blocks.csv --truth-out blocks_truth.csv
     run fit_blocks fit blocks.csv --degrees 0 --grid 1024 --iterations 10000 \
@@ -113,6 +124,7 @@ EOF
     run fit_config fit blocks.csv --config config.txt --out-prefix config_fit \
         --save-trace --dump-config
     run bench_priors benchmark spec_priors.txt --format json --out bench_priors.json
+    run bench_bad_chain benchmark spec_bad_chain.txt --out bench_bad_chain.csv
     cd - >/dev/null
 }
 

@@ -1,8 +1,9 @@
 """Replicate-level benchmark harness.
 
-Each replicate draws its own dataset and chain seed as base_seed XOR
-replicate index, fits the sampler, and scores the posterior mean curve
-against the noiseless truth on the sample grid.
+Each replicate draws its own dataset and chain seed as the base seed
+(`ExperimentSpec.chain.seed`) XOR replicate index, fits the sampler, and
+scores the posterior mean curve against the noiseless truth on the sample
+grid.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,23 +30,14 @@ class ExperimentSpec:
     rsnr: float
     replicates: int
     hyper: Hyperparams
-    iterations: int
-    burn_in: int
-    thin: int
-    base_seed: int = 0
+    chain: ChainConfig  # its seed is the base seed
     threshold: float | None = None  # pass/fail bound on mean MSE, if any
 
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("replicate count must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.base_seed}")
         if self.threshold is not None and not math.isfinite(self.threshold):
             raise ValueError(f"threshold must be finite, got {self.threshold}")
-
-    def chain_config(self, seed: int) -> ChainConfig:
-        return ChainConfig(iterations=self.iterations, burn_in=self.burn_in,
-                           thin=self.thin, seed=seed)
 
 
 @dataclass
@@ -75,10 +67,10 @@ def mse(truth, estimate) -> float:
 
 
 def run_replicate(spec: ExperimentSpec, index: int) -> float:
-    seed = spec.base_seed ^ index
+    seed = spec.chain.seed ^ index
     data = generate_dataset(spec.function, spec.n, spec.rsnr, seed)
     truth = eval_test_function(spec.function, sample_grid(spec.n))
-    out = run_chain(data, spec.hyper, spec.chain_config(seed))
+    out = run_chain(data, spec.hyper, replace(spec.chain, seed=seed))
     mean_curve, _, _ = posterior_curve(out)
     return mse(truth, mean_curve)
 

@@ -99,6 +99,8 @@ class RunConfig:
     def __post_init__(self):
         self.hyperparams()  # validate the mirrored invariants once, here
         self.chain_config()
+        if self.grid < 0:
+            raise ValueError(f"config field grid must be >= 0, got {self.grid}")
         if not (0.0 <= self.q_lower < self.q_upper <= 1.0):
             raise ValueError("config fields q_lower/q_upper must satisfy 0 <= lower < upper <= 1")
 
@@ -210,14 +212,15 @@ def _chain_overrides(args) -> dict:
 def cmd_fit(args) -> int:
     data = parse_dataset(args.data)
     cfg = load_config(args.config, _chain_overrides(args))
-    grid = data.x if cfg.grid <= 0 else np.linspace(data.domain[0], data.domain[1], cfg.grid)
+    grid = data.x if cfg.grid == 0 else np.linspace(data.domain[0], data.domain[1], cfg.grid)
     out = run_chain(data, cfg.hyperparams(), cfg.chain_config(), grid=grid,
                     prior_only=cfg.prior_only, full_recompute=cfg.full_recompute,
                     moves_per_degree=cfg.moves_per_degree, beta_sweep=cfg.beta_sweep)
     mean, lower, upper = posterior_curve(out, levels=(cfg.q_lower, cfg.q_upper))
     prefix = args.out_prefix
     with open(prefix + "_curve.csv", "w") as fh:
-        fh.write("x,mean,q025,q975\n")
+        lower_name, upper_name = (f"q{round(1000 * q):03d}" for q in (cfg.q_lower, cfg.q_upper))
+        fh.write(f"x,mean,{lower_name},{upper_name}\n")
         for row in zip(grid, mean, lower, upper):
             fh.write(",".join(fmt(v) for v in row) + "\n")
     summary = {
@@ -305,10 +308,9 @@ def parse_benchmark_spec(text: str) -> ExperimentSpec:
     return ExperimentSpec(
         function=values["function"], n=values["n"], rsnr=values["rsnr"],
         replicates=values["replicates"], hyper=hyper,
-        iterations=values.get("iterations", 50000),
-        burn_in=values.get("burn_in", 25000),
-        thin=values.get("thin", 10),
-        base_seed=values.get("seed", 0),
+        chain=ChainConfig(iterations=values.get("iterations", 50000),
+                          burn_in=values.get("burn_in", 25000),
+                          thin=values.get("thin", 10), seed=values.get("seed", 0)),
         threshold=values.get("threshold"),
     )
 

@@ -78,15 +78,14 @@ class ModelState:
 class Hyperparams:
     """Everything held fixed during one chain.
 
-    a_gamma / b_gamma may be given as scalars (applied to every degree) or
-    as per-degree mappings.
+    One (a_gamma, b_gamma) pair is the Gamma prior of every degree's rate M_k.
     """
 
     degrees: tuple[int, ...]
     r: float = 0.01
     R: float = 0.01
-    a_gamma: float | dict[int, float] = 1.0
-    b_gamma: float | dict[int, float] = 1.0
+    a_gamma: float = 1.0
+    b_gamma: float = 1.0
     move_probs: tuple[float, float, float] = (0.4, 0.4, 0.2)
 
     def __post_init__(self):
@@ -94,21 +93,10 @@ class Hyperparams:
         if not degrees or any(k < 0 for k in degrees):
             raise ValueError("degrees must be a non-empty set of non-negative ints")
         object.__setattr__(self, "degrees", degrees)
-        for name, val in (("r", self.r), ("R", self.R)):
+        for name in ("r", "R", "a_gamma", "b_gamma"):
+            val = getattr(self, name)
             if not _positive(val):
                 raise ValueError(f"{name} must be finite and positive, got {val}")
-        for name in ("a_gamma", "b_gamma"):
-            val = getattr(self, name)
-            if not isinstance(val, dict):
-                val = {k: float(val) for k in degrees}
-            else:
-                val = {int(k): float(v) for k, v in val.items()}
-                missing = [k for k in degrees if k not in val]
-                if missing:
-                    raise ValueError(f"{name} missing degrees {missing}")
-            if not all(map(_positive, val.values())):
-                raise ValueError(f"{name} entries must be finite and positive, got {val}")
-            object.__setattr__(self, name, val)
         pb, pd, pw = probs = tuple(self.move_probs)
         if (not all(map(math.isfinite, probs)) or min(probs) < 0
                 or abs(pb + pd + pw - 1.0) > 1e-12):
@@ -140,13 +128,13 @@ class Dataset:
             raise ValueError("dataset contains non-finite values")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        if self.domain is None:
-            object.__setattr__(self, "domain", (float(x.min()), float(x.max())))
-        else:
-            lo, hi = float(self.domain[0]), float(self.domain[1])
-            if lo > x.min() or hi < x.max():
-                raise ValueError("domain does not cover the data")
-            object.__setattr__(self, "domain", (lo, hi))
+        lo, hi = (x.min(), x.max()) if self.domain is None else self.domain
+        lo, hi = float(lo), float(hi)
+        if lo > x.min() or hi < x.max():
+            raise ValueError("domain does not cover the data")
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"domain width must be finite, got ({lo}, {hi})")
+        object.__setattr__(self, "domain", (lo, hi))
 
     @property
     def n(self) -> int:
@@ -216,7 +204,7 @@ def init_state(data: Dataset, hyper: Hyperparams,
     phi = coefficient_scale(data)
     components: dict[int, DegreeComponent] = {}
     for k in hyper.degrees:
-        M = float(rng.gamma(hyper.a_gamma[k], 1.0 / hyper.b_gamma[k]))
+        M = float(rng.gamma(hyper.a_gamma, 1.0 / hyper.b_gamma))
         M = max(M, 1e-300)
         J = int(rng.poisson(M))
         atoms = [sample_atom(k, phi, data.domain, rng) for _ in range(J)]

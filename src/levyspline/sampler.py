@@ -12,11 +12,11 @@ from its Normal full conditional.
 `Chain` is the only move kernel and `birth_ratio`/`death_ratio` the only
 acceptance-ratio code. Every likelihood ratio is computed incrementally from
 cached basis columns and the residual `y - fitted`. Most proposals are
-rejected, so the residual and its sum of squares are kept until the
-`fitted` setter drops them, and a birth builds its validated `Atom` only
-when accepted. A prior-only chain is the same chain fitted to no
-observations; a full-recompute chain rebuilds the cache from its atoms
-before each residual read.
+rejected, so the `fitted` setter computes the residual and its sum of
+squares once for every read until the next write, and a birth builds its
+validated `Atom` only when accepted. A prior-only chain is the same chain
+fitted to no observations; a full-recompute chain rebuilds the cache from
+its atoms before each residual read.
 
 `run_chain` records a data-grid curve by summing the cached columns
 (`Chain.cached_mean`), which has `mean_on`'s bits; any other grid goes
@@ -81,7 +81,7 @@ class ChainOutput:
     """Thinned post-burn-in records plus per-move acceptance counters."""
 
     config: ChainConfig
-    curves: np.ndarray | None
+    curves: np.ndarray
     sigma2: np.ndarray
     J: dict[int, np.ndarray]
     M: dict[int, np.ndarray]
@@ -144,6 +144,8 @@ class Chain:
         self.M: dict[int, float] = {k: comp.M for k, comp in state.components.items()}
         if set(self.atoms) != set(hyper.degrees):
             raise ValueError("state degrees do not match hyperparameter degrees")
+        self.attempts: dict[tuple[str, int], int] = {}
+        self.accepts: dict[tuple[str, int], int] = {}
         self._rebuild_cache()
 
     # ---- caches -----------------------------------------------------------
@@ -165,7 +167,8 @@ class Chain:
     @fitted.setter
     def fitted(self, value: np.ndarray):
         self._fitted = value
-        self._resid_rss = None
+        resid = self.y - value
+        self._resid_rss = resid, _rss(resid)
 
     def cached_mean(self) -> np.ndarray:
         """The mean on the chain's `x`, summed from the cached columns.
@@ -182,24 +185,14 @@ class Chain:
         return out
 
     def _resid(self) -> tuple[np.ndarray, float]:
-        """(y - fitted, its sum of squares), computed once per `fitted`.
-
-        A full-recompute chain first rebuilds the cache, so it computes the
-        pair afresh on every call.
-        """
+        """(y - fitted, its sum of squares), rebuilt first by a full-recompute chain."""
         if self.full_recompute:
             self._rebuild_cache()
-        if self._resid_rss is None:
-            resid = self.y - self._fitted
-            self._resid_rss = resid, _rss(resid)
         return self._resid_rss
 
     def _llr(self, delta: np.ndarray) -> float:
         """Log-likelihood ratio of adding `delta` to the fitted values."""
-        pair = self._resid_rss
-        if pair is None or self.full_recompute:
-            pair = self._resid()
-        resid, rss = pair
+        resid, rss = self._resid() if self.full_recompute else self._resid_rss
         return -(_rss(resid - delta) - rss) / (2.0 * self.sigma2)
 
     def _accept(self, log_ratio: float) -> bool:
@@ -284,8 +277,8 @@ class Chain:
         self.atoms[k][idx] = Atom(knots=atom.knots, beta=new_beta)
 
     def gibbs_M(self, k: int):
-        a = self.hyper.a_gamma[k] + len(self.atoms[k])
-        b = self.hyper.b_gamma[k] + 1.0
+        a = self.hyper.a_gamma + len(self.atoms[k])
+        b = self.hyper.b_gamma + 1.0
         self.M[k] = max(float(self.rng.gamma(a, 1.0 / b)), _TINY)
 
     def gibbs_sigma2(self):
@@ -297,7 +290,7 @@ class Chain:
 
     # ---- outer loop -------------------------------------------------------
 
-    def move(self, k: int, counters=None) -> None:
+    def move(self, k: int) -> None:
         kind = choose_move(self.hyper, len(self.atoms[k]), self.rng)
         if kind == BIRTH:
             accepted, _ = self.birth(k)
@@ -306,16 +299,13 @@ class Chain:
         else:
             flags = self.relocate(k)
             accepted = any(flags)
-        if counters is not None:
-            attempts, accepts = counters
-            attempts[(kind, k)] = attempts.get((kind, k), 0) + 1
-            accepts[(kind, k)] = accepts.get((kind, k), 0) + int(accepted)
+        self.attempts[(kind, k)] = self.attempts.get((kind, k), 0) + 1
+        self.accepts[(kind, k)] = self.accepts.get((kind, k), 0) + int(accepted)
 
-    def sweep(self, counters=None, moves_per_degree: int = 1,
-              beta_sweep: bool = False) -> None:
+    def sweep(self, moves_per_degree: int = 1, beta_sweep: bool = False) -> None:
         for k in self.hyper.degrees:
             for _ in range(moves_per_degree):
-                self.move(k, counters)
+                self.move(k)
             self.gibbs_M(k)
         self.gibbs_sigma2()
         if beta_sweep:
@@ -344,8 +334,12 @@ def death_ratio(llr: float, M: float, J: int, hyper: Hyperparams) -> float:
 def run_chain(data: Dataset, hyper: Hyperparams, cfg: ChainConfig,
               grid: np.ndarray | None = None, prior_only: bool = False,
               full_recompute: bool = False, moves_per_degree: int = 1,
-              beta_sweep: bool = False, store_curves: bool = True) -> ChainOutput:
-    """Run the full sampler: init from the prior, sweep, retain thinned samples."""
+              beta_sweep: bool = False) -> ChainOutput:
+    """Run the full sampler: init from the prior, sweep, retain thinned samples.
+
+    Curves are recorded on `grid` (the data's `x` by default); an empty
+    `grid` records none.
+    """
     rng = np.random.default_rng(cfg.seed)
     chain = Chain(data, hyper, rng, prior_only=prior_only,
                   full_recompute=full_recompute)
@@ -353,22 +347,19 @@ def run_chain(data: Dataset, hyper: Hyperparams, cfg: ChainConfig,
         grid = data.x
     grid = np.asarray(grid, dtype=float)
     on_data = np.array_equal(grid, chain.x)
-    attempts: dict[tuple[str, int], int] = {}
-    accepts: dict[tuple[str, int], int] = {}
-    curves = np.empty((cfg.retained, len(grid))) if store_curves else None
+    curves = np.empty((cfg.retained, len(grid)))
     sigma2_trace = []
     J_trace = {k: [] for k in hyper.degrees}
     M_trace = {k: [] for k in hyper.degrees}
     for it in range(cfg.iterations):
-        chain.sweep((attempts, accepts), moves_per_degree=moves_per_degree,
-                    beta_sweep=beta_sweep)
+        chain.sweep(moves_per_degree=moves_per_degree, beta_sweep=beta_sweep)
         if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == cfg.thin - 1:
             row = len(sigma2_trace)
             sigma2_trace.append(chain.sigma2)
             for k in hyper.degrees:
                 J_trace[k].append(len(chain.atoms[k]))
                 M_trace[k].append(chain.M[k])
-            if store_curves:
+            if len(grid):
                 curves[row] = chain.cached_mean() if on_data else chain.mean_on(grid)
     return ChainOutput(
         config=cfg,
@@ -376,8 +367,8 @@ def run_chain(data: Dataset, hyper: Hyperparams, cfg: ChainConfig,
         sigma2=np.asarray(sigma2_trace),
         J={k: np.asarray(v, dtype=int) for k, v in J_trace.items()},
         M={k: np.asarray(v) for k, v in M_trace.items()},
-        attempts=attempts,
-        accepts=accepts,
+        attempts=chain.attempts,
+        accepts=chain.accepts,
     )
 
 
@@ -385,8 +376,6 @@ def posterior_curve(out: ChainOutput, levels: tuple[float, float] = (0.025, 0.97
     """Pointwise posterior mean and empirical quantile band of the stored curves."""
     if out.retained == 0:
         raise ValueError("no retained samples")
-    if out.curves is None:
-        raise ValueError("chain output stored no curves")
     # one transposed copy puts each grid point's samples in a row, partitioned in place
     lower, upper = np.quantile(out.curves.T.copy(), levels, axis=1, overwrite_input=True)
     return out.curves.mean(axis=0), lower, upper

@@ -117,7 +117,7 @@ def rsnr_sigma(f_values, rsnr: float) -> float:
     An infinite rsnr is the noiseless sentinel and returns 0.
     """
     if not rsnr > 0:
-        raise ValueError("rsnr must be positive")
+        raise ValueError(f"rsnr must be positive (inf for noiseless), got {rsnr}")
     if math.isinf(rsnr):
         return 0.0
     f = np.asarray(f_values, dtype=float)
@@ -127,6 +127,8 @@ def rsnr_sigma(f_values, rsnr: float) -> float:
 
 def generate_dataset(name: str, n: int, rsnr: float, seed: int) -> Dataset:
     """Noisy observations of a test function on the equally spaced grid."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     x = sample_grid(n)
     f = eval_test_function(name, x)
     sigma = rsnr_sigma(f, rsnr)

@@ -64,7 +64,7 @@ def run_benchmark_criterion(criterion, function, rsnr, degrees, threshold,
         function=function, n=128, rsnr=rsnr, replicates=10,
         hyper=Hyperparams(degrees, r=r, R=0.01, a_gamma=a_gamma,
                                b_gamma=1.0),
-        iterations=50_000, burn_in=25_000, thin=10, base_seed=0,
+        chain=ChainConfig(iterations=50_000, burn_in=25_000, thin=10, seed=0),
         threshold=threshold)
     result = run_experiment(spec)
     report(criterion, result.mean <= threshold,
@@ -100,16 +100,15 @@ class TestFullScaleSpecsDocumented:
                     assert path.exists(), path
                     spec = parse_benchmark_spec(path.read_text())
                     assert spec.replicates == 100
-                    assert spec.iterations == 200_000
-                    assert spec.burn_in == 100_000
-                    assert spec.thin == 10
+                    assert spec.chain.iterations == 200_000
+                    assert spec.chain.burn_in == 100_000
+                    assert spec.chain.thin == 10
                     assert spec.n == n and spec.rsnr == rsnr
                     assert spec.hyper.degrees == tuple(sorted(settings["degrees"]))
                     assert spec.hyper.r == settings["r"]
                     assert spec.hyper.R == settings["R"]
-                    for k in spec.hyper.degrees:
-                        assert spec.hyper.a_gamma[k] == settings["a_gamma"]
-                        assert spec.hyper.b_gamma[k] == settings["b_gamma"]
+                    assert spec.hyper.a_gamma == settings["a_gamma"]
+                    assert spec.hyper.b_gamma == settings["b_gamma"]
                     checked += 1
         report(5, checked == 42,
                f"{checked}/42 full-scale spec files carry the published "
@@ -288,7 +287,7 @@ class TestSamplerCorrectness:
         data = generate_dataset("blocks", 16, 3.0, seed=3)
         hyper = Hyperparams((0,), a_gamma=a, b_gamma=b)
         cfg = ChainConfig(iterations=sweeps, burn_in=10_000, seed=42)
-        out = run_chain(data, hyper, cfg, prior_only=True, store_curves=False)
+        out = run_chain(data, hyper, cfg, grid=np.empty(0), prior_only=True)
         target = a / b
         lines, ok = [], True
         for name, trace in (("M", out.M[0]), ("J", out.J[0].astype(float))):

@@ -16,12 +16,14 @@ from levyspline.bench import (
 )
 from levyspline.model import Hyperparams
 from levyspline.reference import REFERENCE_MSE, STUDY_HYPERPARAMS, reference_mse
+from levyspline.sampler import ChainConfig
 
 
 def small_spec(**over):
     kwargs = dict(function="blocks", n=32, rsnr=3.0, replicates=2,
-                  hyper=Hyperparams((0,)), iterations=300, burn_in=100,
-                  thin=4, base_seed=17, threshold=None)
+                  hyper=Hyperparams((0,)),
+                  chain=ChainConfig(iterations=300, burn_in=100, thin=4, seed=17),
+                  threshold=None)
     kwargs.update(over)
     return ExperimentSpec(**kwargs)
 
@@ -86,8 +88,8 @@ class TestRunExperiment:
         assert run_experiment(spec).mses == run_experiment(spec).mses
 
     def test_base_seed_changes_results(self):
-        assert (run_experiment(small_spec(base_seed=17)).mses
-                != run_experiment(small_spec(base_seed=23)).mses)
+        chain = ChainConfig(iterations=300, burn_in=100, thin=4, seed=23)
+        assert run_experiment(small_spec()).mses != run_experiment(small_spec(chain=chain)).mses
 
     def test_progress_callback(self):
         seen = []

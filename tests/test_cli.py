@@ -15,6 +15,7 @@ from levyspline.cli import (
     parse_dataset,
     write_dataset,
 )
+from levyspline.sampler import ChainConfig
 from levyspline.signals import eval_test_function, sample_grid
 
 
@@ -108,12 +109,14 @@ class TestRunConfig:
     @pytest.mark.parametrize("text, message", [
         ("r = nan", "r must be finite and positive, got nan"),
         ("R = inf", "R must be finite and positive, got inf"),
-        ("a_gamma = inf", "a_gamma entries must be finite and positive"),
-        ("b_gamma = nan", "b_gamma entries must be finite and positive"),
+        ("a_gamma = inf", "a_gamma must be finite and positive, got inf"),
+        ("b_gamma = nan", "b_gamma must be finite and positive, got nan"),
         ("p_birth = nan\np_death = 0.5\np_relocate = 0.5",
          "move probabilities must be finite, >= 0 and sum to 1, got (nan, 0.5, 0.5)"),
         ("seed = -1", "seed must be non-negative, got -1"),
-    ], ids=["r-nan", "R-inf", "a_gamma-inf", "b_gamma-nan", "p_birth-nan", "seed-negative"])
+        ("grid = -5", "config field grid must be >= 0, got -5"),
+    ], ids=["r-nan", "R-inf", "a_gamma-inf", "b_gamma-nan", "p_birth-nan", "seed-negative",
+            "grid-negative"])
     def test_malformed_numeric_setting_names_field(self, text, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_config(text + "\n")
@@ -137,14 +140,14 @@ class TestBenchmarkSpec:
             "iterations = 50000\nburn_in = 25000\nthin = 10\nthreshold = 2.0\n")
         assert spec.function == "blocks"
         assert spec.hyper.degrees == (0,)
-        assert spec.hyper.r == 0.01 and spec.hyper.a_gamma == {0: 1.0}
+        assert spec.hyper.r == 0.01 and spec.hyper.a_gamma == 1.0
         assert spec.threshold == 2.0
 
     def test_defaults_applied(self):
         spec = parse_benchmark_spec(
             "function = heavisine\nn = 128\nrsnr = 10\nreplicates = 2\ndegrees = 0,2\n")
-        assert spec.iterations == 50000 and spec.burn_in == 25000 and spec.thin == 10
-        assert spec.threshold is None and spec.base_seed == 0
+        assert spec.chain == ChainConfig(iterations=50000, burn_in=25000, thin=10, seed=0)
+        assert spec.threshold is None
 
     def test_missing_required(self):
         with pytest.raises(ValueError, match="missing fields"):
@@ -168,12 +171,13 @@ class TestBenchmarkSpec:
     @pytest.mark.parametrize("line, message", [
         ("r = nan", "r must be finite and positive, got nan"),
         ("R = inf", "R must be finite and positive, got inf"),
-        ("a_gamma = inf", "a_gamma entries must be finite and positive"),
-        ("b_gamma = nan", "b_gamma entries must be finite and positive"),
+        ("a_gamma = inf", "a_gamma must be finite and positive, got inf"),
+        ("b_gamma = nan", "b_gamma must be finite and positive, got nan"),
         ("threshold = nan", "threshold must be finite, got nan"),
         ("seed = -3", "seed must be non-negative, got -3"),
+        ("iterations = 100\nburn_in = 100", "burn_in must be smaller than iterations"),
     ], ids=["r-nan", "R-inf", "a_gamma-inf", "b_gamma-nan", "threshold-nan",
-            "seed-negative"])
+            "seed-negative", "burn_in-not-below-iterations"])
     def test_malformed_numeric_setting_names_field(self, line, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_benchmark_spec(self._SPEC + line + "\n")
@@ -209,6 +213,16 @@ class TestSimulateCommand:
                   "--out", str(tmp_path / name)])
         assert ((tmp_path / "a.csv").read_bytes()
                 == (tmp_path / "b.csv").read_bytes())
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--seed", "-1"], "error: seed must be non-negative, got -1\n"),
+        (["--rsnr", "nan"], "error: rsnr must be positive (inf for noiseless), got nan\n"),
+    ], ids=["seed-negative", "rsnr-nan"])
+    def test_malformed_setting_names_it(self, tmp_path, capsys, flags, message):
+        rc = main(["simulate", "blocks", "--n", "16", "--out", str(tmp_path / "b.csv"), *flags])
+        assert rc == 1
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "b.csv").exists()
 
     def test_noiseless(self, tmp_path):
         out = str(tmp_path / "h.csv")
@@ -294,6 +308,26 @@ class TestFitCommand:
         lines = (tmp_path / "g_curve.csv").read_text().splitlines()
         assert len(lines) == 202
 
+    def test_curve_header_names_band_levels(self, tmp_path):
+        # the band columns are named by their levels in per-mille
+        data = self._simulate(tmp_path)
+        config = tmp_path / "deciles.txt"
+        config.write_text("q_lower = 0.1\nq_upper = 0.9\n")
+        assert main(["fit", data, "--out-prefix", str(tmp_path / "d"), "--config", str(config),
+                     "--iterations", "200", "--burn-in", "50", "--degrees", "0"]) == 0
+        header = (tmp_path / "d_curve.csv").read_text().splitlines()[0]
+        assert header == "x,mean,q100,q900"
+
+    def test_overflowing_x_range_exits_1(self, tmp_path, capsys):
+        # the knot domain's width overflows a double
+        path = tmp_path / "wide.csv"
+        path.write_text("x,y\n-1e308,0.0\n1e308,1.0\n")
+        rc = main(["fit", str(path), "--out-prefix", str(tmp_path / "w"),
+                   "--iterations", "100", "--burn-in", "10", "--degrees", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: domain width must be finite, got (-1e+308, 1e+308)\n")
+
     def test_config_moves_per_degree_changes_trace(self, tmp_path):
         # the config key reaches the sweep: two moves per degree make
         # another chain than the default one
@@ -312,7 +346,8 @@ class TestFitCommand:
     @pytest.mark.parametrize("config, flags, message", [
         ("r = nan\n", [], "error: r must be finite and positive, got nan"),
         (None, ["--seed", "-1"], "error: seed must be non-negative, got -1"),
-    ], ids=["config-r-nan", "seed-negative"])
+        (None, ["--grid", "-5"], "error: config field grid must be >= 0, got -5"),
+    ], ids=["config-r-nan", "seed-negative", "grid-negative"])
     def test_malformed_setting_exits_1(self, tmp_path, capsys, config, flags, message):
         # rejected before the chain runs: no summary with a NaN is written
         data = self._simulate(tmp_path)
@@ -401,6 +436,15 @@ class TestBenchmarkCommand:
         assert main(["benchmark", str(spec), "--out", out, "--format", "json"]) == 0
         rows = json.loads(open(out).read())
         assert len(rows) == 1 and rows[0]["function"] == "blocks"
+
+    def test_nan_rsnr_named(self, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("function = blocks\nn = 16\nrsnr = nan\nreplicates = 1\ndegrees = 0\n"
+                        "iterations = 20\nburn_in = 10\nthin = 1\n")
+        rc = main(["benchmark", str(spec), "--out", str(tmp_path / "t.csv")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: rsnr must be positive (inf for noiseless), got nan\n")
 
     def test_bad_spec_exit_code(self, tmp_path, capsys):
         spec = tmp_path / "spec.txt"

@@ -54,18 +54,24 @@ class TestTypes:
 
     def test_hyperparams_scalar_gamma_broadcast(self):
         h = Hyperparams((0, 2), a_gamma=5.0)
-        assert h.a_gamma == {0: 5.0, 2: 5.0}
+        assert (h.a_gamma, h.b_gamma) == (5.0, 1.0)
 
     def test_hyperparams_defaults_per_degree(self):
         h = Hyperparams([2, 0], move_probs=[0.2, 0.3, 0.5])
         assert h.degrees == (0, 2)
         assert (h.r, h.R) == (0.01, 0.01)
-        assert h.a_gamma == h.b_gamma == {0: 1.0, 2: 1.0}
+        assert h.a_gamma == h.b_gamma == 1.0
         assert h.move_probs == (0.2, 0.3, 0.5)
 
     def test_dataset_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             Dataset(x=np.array([0.0, 1.0]), y=np.array([1.0, np.nan]))
+
+    def test_dataset_rejects_overflowing_domain_width(self):
+        with pytest.raises(ValueError, match="domain width must be finite"):
+            Dataset(x=np.array([-1e308, 1e308]), y=np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="domain width must be finite"):
+            Dataset(x=np.array([0.0, 1.0]), y=np.array([0.0, 1.0]), domain=(0.0, np.inf))
 
     def test_dataset_rejects_length_mismatch(self):
         with pytest.raises(ValueError):

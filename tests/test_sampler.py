@@ -477,7 +477,7 @@ class TestRunChain:
         data = generate_dataset("blocks", 16, 3.0, seed=11)
         hyper = Hyperparams((0,), a_gamma=2.0, b_gamma=1.0)
         cfg = ChainConfig(iterations=30_000, burn_in=5_000, seed=3)
-        out = run_chain(data, hyper, cfg, prior_only=True, store_curves=False)
+        out = run_chain(data, hyper, cfg, grid=np.empty(0), prior_only=True)
         for trace, target in ((out.M[0], 2.0), (out.J[0].astype(float), 2.0)):
             mean, se = batch_mean_se(trace)
             assert mean == approx(target, abs=3 * se)
@@ -510,7 +510,7 @@ class TestResidualCache:
         # proposal's likelihood ratio, the residual and RSS the chain would
         # read are those of its current `fitted`, bit for bit: each write to
         # `fitted` (accepted birth, death or relocation, gibbs_beta, a cache
-        # rebuild) drops the cached pair
+        # rebuild) recomputes the pair
         data = generate_dataset("modified_heavisine", 64, 5.0, seed=18)
         hyper = Hyperparams((0, 1, 2, 3))
         chain = Chain(data, hyper, np.random.default_rng(19))
@@ -534,10 +534,9 @@ class TestResidualCache:
 
         for name in calls:
             setattr(chain, name, checked(name, getattr(chain, name)))
-        attempts, accepts = {}, {}
         rebuilt = 0
         for sweep in range(300):
-            chain.sweep((attempts, accepts), beta_sweep=beta_sweep)
+            chain.sweep(beta_sweep=beta_sweep)
             if sweep % 50 == 49:
                 before = chain.fitted.tobytes()
                 chain._rebuild_cache()
@@ -545,7 +544,7 @@ class TestResidualCache:
                 check()
         assert all(calls.values())
         for kind in ("birth", "death", "relocate"):
-            assert sum(v for (m, _), v in accepts.items() if m == kind) > 0
+            assert sum(v for (m, _), v in chain.accepts.items() if m == kind) > 0
         # a rebuild moved the fitted values in the last bits, so a stale
         # pair after a rebuild would have been caught
         assert rebuilt > 0
@@ -626,13 +625,6 @@ class TestPosteriorCurve:
         assert lo.tobytes() == want[0].tobytes()
         assert hi.tobytes() == want[1].tobytes()
 
-    def test_no_stored_curves_rejected(self):
-        out = run_chain(generate_dataset("blocks", 8, 3.0, seed=13), HYPER0,
-                        ChainConfig(iterations=20, seed=0), store_curves=False)
-        assert out.curves is None and out.retained == 20
-        with pytest.raises(ValueError, match="chain output stored no curves"):
-            posterior_curve(out)
-
     def test_empty_retained_rejected(self):
         out = run_chain(generate_dataset("blocks", 8, 3.0, seed=13),
                         HYPER0, ChainConfig(iterations=2, seed=0))
@@ -643,6 +635,6 @@ class TestPosteriorCurve:
 
     def test_counter_invariant_enforced(self):
         with pytest.raises(ValueError):
-            ChainOutput(config=ChainConfig(iterations=1, seed=0), curves=None, sigma2=np.ones(1),
-                        J={0: np.zeros(1, dtype=int)}, M={0: np.ones(1)},
+            ChainOutput(config=ChainConfig(iterations=1, seed=0), curves=np.empty((1, 0)),
+                        sigma2=np.ones(1), J={0: np.zeros(1, dtype=int)}, M={0: np.ones(1)},
                         attempts={("birth", 0): 1}, accepts={("birth", 0): 2})
