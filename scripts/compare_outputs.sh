@@ -15,13 +15,15 @@
 #   - summarize on the modified_heavisine trace;
 #   - a 3-replicate heavisine benchmark in csv (with --verbose) and in json;
 #   - a fit --config whose file sets every hyperparameter key (r, R,
-#     a_gamma, b_gamma, p_birth, p_death, p_relocate) plus moves_per_degree,
-#     beta_sweep and q_lower/q_upper, with --save-trace and --dump-config;
+#     a_gamma, b_gamma, p_birth, p_death, p_relocate) plus q_lower/q_upper,
+#     with --save-trace and --dump-config;
 #   - a 2-replicate bumps benchmark in json whose spec sets r, R, a_gamma
 #     and b_gamma;
 #   - a benchmark whose spec has burn_in >= iterations, which must fail
-#     with the same message and status.
-# That is 68 files per run, inputs and stdout/stderr/status included.
+#     with the same message and status;
+#   - a 1-replicate blocks benchmark (n=16, degree 0) whose spec sets no
+#     chain key or prior, so it runs on the spec defaults.
+# That is 73 files per run, inputs and stdout/stderr/status included.
 # Everything is written under a temporary directory that is removed on exit.
 # Prints each file that differs and exits 1 if any does, 0 otherwise.
 set -eu
@@ -70,8 +72,6 @@ b_gamma = 2
 p_birth = 0.35
 p_death = 0.45
 p_relocate = 0.2
-moves_per_degree = 2
-beta_sweep = true
 q_lower = 0.1
 q_upper = 0.9
 iterations = 1500
@@ -103,6 +103,13 @@ degrees = 0
 iterations = 100
 burn_in = 100
 EOF
+    cat >spec_defaults.txt <<'EOF'
+function = blocks
+n = 16
+rsnr = 3
+replicates = 1
+degrees = 0
+EOF
     run sim_blocks simulate blocks --n 128 --rsnr 3 --seed 5 \
         --out blocks.csv --truth-out blocks_truth.csv
     run fit_blocks fit blocks.csv --degrees 0 --grid 1024 --iterations 10000 \
@@ -125,6 +132,7 @@ EOF
         --save-trace --dump-config
     run bench_priors benchmark spec_priors.txt --format json --out bench_priors.json
     run bench_bad_chain benchmark spec_bad_chain.txt --out bench_bad_chain.csv
+    run bench_defaults benchmark spec_defaults.txt --out bench_defaults.csv
     cd - >/dev/null
 }
 

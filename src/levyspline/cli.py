@@ -91,8 +91,6 @@ class RunConfig:
     grid: int = 0  # 0: evaluate on the data grid
     q_lower: float = 0.025
     q_upper: float = 0.975
-    moves_per_degree: int = 1
-    beta_sweep: bool = False
     prior_only: bool = False
     full_recompute: bool = False
 
@@ -103,6 +101,10 @@ class RunConfig:
             raise ValueError(f"config field grid must be >= 0, got {self.grid}")
         if not (0.0 <= self.q_lower < self.q_upper <= 1.0):
             raise ValueError("config fields q_lower/q_upper must satisfy 0 <= lower < upper <= 1")
+        for name in ("q_lower", "q_upper"):  # the curve header names them in per-mille
+            q = getattr(self, name)
+            if round(1000 * q) / 1000 != q:
+                raise ValueError(f"config field {name} must be a whole per-mille, got {q}")
 
     def hyperparams(self) -> Hyperparams:
         return Hyperparams(self.degrees, r=self.r, R=self.R,
@@ -158,6 +160,8 @@ def _read_key_values(text: str, kinds: dict, what: str) -> dict:
         key, raw = (p.strip() for p in line.split("=", 1))
         if key not in kinds:
             raise ValueError(f"{what} line {lineno}: unknown field {key!r}")
+        if key in values:
+            raise ValueError(f"{what} line {lineno}: duplicate field {key!r}")
         values[key] = _parse_value(key, raw, kinds[key])
     return values
 
@@ -196,16 +200,13 @@ def _with_suffix(path: str, suffix: str) -> str:
 
 def _chain_overrides(args) -> dict:
     overrides = {}
-    for name in ("seed", "iterations", "burn_in", "thin", "grid"):
+    for name in ("seed", "iterations", "burn_in", "thin", "grid", "prior_only",
+                 "full_recompute"):
         v = getattr(args, name, None)
         if v is not None:
             overrides[name] = v
     if getattr(args, "degrees", None) is not None:
         overrides["degrees"] = _parse_value("degrees", args.degrees, "degrees")
-    if getattr(args, "prior_only", False):
-        overrides["prior_only"] = True
-    if getattr(args, "full_recompute", False):
-        overrides["full_recompute"] = True
     return overrides
 
 
@@ -214,8 +215,7 @@ def cmd_fit(args) -> int:
     cfg = load_config(args.config, _chain_overrides(args))
     grid = data.x if cfg.grid == 0 else np.linspace(data.domain[0], data.domain[1], cfg.grid)
     out = run_chain(data, cfg.hyperparams(), cfg.chain_config(), grid=grid,
-                    prior_only=cfg.prior_only, full_recompute=cfg.full_recompute,
-                    moves_per_degree=cfg.moves_per_degree, beta_sweep=cfg.beta_sweep)
+                    prior_only=cfg.prior_only, full_recompute=cfg.full_recompute)
     mean, lower, upper = posterior_curve(out, levels=(cfg.q_lower, cfg.q_upper))
     prefix = args.out_prefix
     with open(prefix + "_curve.csv", "w") as fh:
@@ -287,12 +287,10 @@ def _write_trace(path: str, out):
             fh.write(",".join(row) + "\n")
 
 
-_BENCH_KEYS = {
-    "function": str, "n": int, "rsnr": float, "replicates": int,
-    "iterations": int, "burn_in": int, "thin": int, "seed": int,
-    "degrees": "degrees", "r": float, "R": float,
-    "a_gamma": float, "b_gamma": float, "threshold": float,
-}
+_SHARED_KEYS = ("degrees", "r", "R", "a_gamma", "b_gamma",
+                "iterations", "burn_in", "thin", "seed")
+_BENCH_KEYS = {"function": str, "n": int, "rsnr": float, "replicates": int,
+               "threshold": float, **{k: _CONFIG_KEYS[k] for k in _SHARED_KEYS}}
 
 
 def parse_benchmark_spec(text: str) -> ExperimentSpec:
@@ -303,15 +301,12 @@ def parse_benchmark_spec(text: str) -> ExperimentSpec:
         raise ValueError(f"benchmark spec missing fields: {missing}")
     if values["function"] not in TEST_FUNCTIONS:
         raise ValueError(f"unknown test function {values['function']!r}")
-    priors = {k: values[k] for k in ("r", "R", "a_gamma", "b_gamma") if k in values}
-    hyper = Hyperparams(values["degrees"], **priors)
+    # a spec's M_k prior defaults to Gamma(1, 1), the published study's for most functions
+    cfg = replace(RunConfig(a_gamma=1.0), **{k: values[k] for k in _SHARED_KEYS if k in values})
     return ExperimentSpec(
         function=values["function"], n=values["n"], rsnr=values["rsnr"],
-        replicates=values["replicates"], hyper=hyper,
-        chain=ChainConfig(iterations=values.get("iterations", 50000),
-                          burn_in=values.get("burn_in", 25000),
-                          thin=values.get("thin", 10), seed=values.get("seed", 0)),
-        threshold=values.get("threshold"),
+        replicates=values["replicates"], hyper=cfg.hyperparams(),
+        chain=cfg.chain_config(), threshold=values.get("threshold"),
     )
 
 
@@ -384,9 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--degrees", default=None, help="comma-separated, e.g. 0,1,2")
     fit.add_argument("--grid", type=int, default=None,
                      help="curve grid resolution; 0 uses the data grid")
-    fit.add_argument("--prior-only", action="store_true",
+    fit.add_argument("--prior-only", action="store_true", default=None,
                      help="disable the likelihood (prior-recovery mode)")
-    fit.add_argument("--full-recompute", action="store_true",
+    fit.add_argument("--full-recompute", action="store_true", default=None,
                      help="recompute the fit from scratch at every likelihood "
                           "evaluation (verification mode)")
     fit.add_argument("--save-trace", action="store_true")

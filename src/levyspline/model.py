@@ -37,18 +37,12 @@ class Atom:
 class DegreeComponent:
     """All atoms of one degree plus that degree's Poisson rate."""
 
-    degree: int
     atoms: list[Atom]
     M: float
 
     def __post_init__(self):
         if self.M <= 0:
             raise ValueError("M must be positive")
-        for a in self.atoms:
-            if a.degree != self.degree:
-                raise ValueError(
-                    f"atom of degree {a.degree} in component of degree {self.degree}"
-                )
 
     @property
     def count(self) -> int:
@@ -59,7 +53,8 @@ class DegreeComponent:
 class ModelState:
     """One point in the variable-dimension parameter space.
 
-    `phi` is the coefficient prior scale, one value shared by every degree.
+    Each component's degree is its key in `components`. `phi` is the
+    coefficient prior scale, one value shared by every degree.
     """
 
     beta0: float
@@ -72,6 +67,10 @@ class ModelState:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
         if self.phi <= 0:
             raise ValueError(f"phi must be positive, got {self.phi}")
+        for k, comp in self.components.items():
+            for a in comp.atoms:
+                if a.degree != k:
+                    raise ValueError(f"atom of degree {a.degree} in component of degree {k}")
 
 
 @dataclass(frozen=True)
@@ -208,6 +207,6 @@ def init_state(data: Dataset, hyper: Hyperparams,
         M = max(M, 1e-300)
         J = int(rng.poisson(M))
         atoms = [sample_atom(k, phi, data.domain, rng) for _ in range(J)]
-        components[k] = DegreeComponent(degree=k, atoms=atoms, M=M)
+        components[k] = DegreeComponent(atoms=atoms, M=M)
     sigma2 = sample_sigma2_prior(hyper, rng)
     return ModelState(beta0=beta0, components=components, sigma2=sigma2, phi=phi)

@@ -80,7 +80,6 @@ class ChainConfig:
 class ChainOutput:
     """Thinned post-burn-in records plus per-move acceptance counters."""
 
-    config: ChainConfig
     curves: np.ndarray
     sigma2: np.ndarray
     J: dict[int, np.ndarray]
@@ -302,16 +301,12 @@ class Chain:
         self.attempts[(kind, k)] = self.attempts.get((kind, k), 0) + 1
         self.accepts[(kind, k)] = self.accepts.get((kind, k), 0) + int(accepted)
 
-    def sweep(self, moves_per_degree: int = 1, beta_sweep: bool = False) -> None:
+    def sweep(self) -> None:
+        """One move per degree, each followed by its M_k draw, then sigma^2."""
         for k in self.hyper.degrees:
-            for _ in range(moves_per_degree):
-                self.move(k)
+            self.move(k)
             self.gibbs_M(k)
         self.gibbs_sigma2()
-        if beta_sweep:
-            for k in self.hyper.degrees:
-                for idx in range(len(self.atoms[k])):
-                    self.gibbs_beta(k, idx)
 
 
 # ---- acceptance ratios ----------------------------------------------------
@@ -333,8 +328,7 @@ def death_ratio(llr: float, M: float, J: int, hyper: Hyperparams) -> float:
 
 def run_chain(data: Dataset, hyper: Hyperparams, cfg: ChainConfig,
               grid: np.ndarray | None = None, prior_only: bool = False,
-              full_recompute: bool = False, moves_per_degree: int = 1,
-              beta_sweep: bool = False) -> ChainOutput:
+              full_recompute: bool = False) -> ChainOutput:
     """Run the full sampler: init from the prior, sweep, retain thinned samples.
 
     Curves are recorded on `grid` (the data's `x` by default); an empty
@@ -352,7 +346,7 @@ def run_chain(data: Dataset, hyper: Hyperparams, cfg: ChainConfig,
     J_trace = {k: [] for k in hyper.degrees}
     M_trace = {k: [] for k in hyper.degrees}
     for it in range(cfg.iterations):
-        chain.sweep(moves_per_degree=moves_per_degree, beta_sweep=beta_sweep)
+        chain.sweep()
         if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == cfg.thin - 1:
             row = len(sigma2_trace)
             sigma2_trace.append(chain.sigma2)
@@ -362,7 +356,6 @@ def run_chain(data: Dataset, hyper: Hyperparams, cfg: ChainConfig,
             if len(grid):
                 curves[row] = chain.cached_mean() if on_data else chain.mean_on(grid)
     return ChainOutput(
-        config=cfg,
         curves=curves,
         sigma2=np.asarray(sigma2_trace),
         J={k: np.asarray(v, dtype=int) for k, v in J_trace.items()},

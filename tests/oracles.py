@@ -1,9 +1,9 @@
-"""Full-evaluation oracles for the tests.
+"""Full-evaluation oracles for the tests, and the tests' one state builder.
 
-Each recomputes from scratch what the sampler computes incrementally or in
-closed form: one basis function at a point, its integral, the mean function
-of a whole state, the Gaussian log-likelihood, an atom's log prior, and the
-birth/death log ratios from two full likelihood evaluations.
+Each oracle recomputes from scratch what the sampler computes incrementally
+or in closed form: one basis function at a point, its integral, the mean
+function of a whole state, the Gaussian log-likelihood, an atom's log prior,
+and the birth/death log ratios from two full likelihood evaluations.
 """
 
 import dataclasses
@@ -12,10 +12,16 @@ import math
 import numpy as np
 
 from levyspline.bspline import KnotVector, basis_values
-from levyspline.model import Atom, Dataset, Hyperparams, ModelState
+from levyspline.model import Atom, Dataset, DegreeComponent, Hyperparams, ModelState
 from levyspline.sampler import birth_ratio, death_ratio
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+
+def make_state(atoms_by_k, beta0=0.0, sigma2=1.0, M=1.0, phi=1.0) -> ModelState:
+    """A state with one component per degree key of `atoms_by_k`, each of rate M."""
+    comps = {k: DegreeComponent(atoms=list(v), M=M) for k, v in atoms_by_k.items()}
+    return ModelState(beta0=beta0, components=comps, sigma2=sigma2, phi=phi)
 
 
 def eval_basis(kv: KnotVector, x: float) -> float:

@@ -16,12 +16,7 @@ import scipy.stats as st
 from levyspline.bspline import KnotVector, basis_values
 from levyspline.bench import ExperimentSpec, run_experiment
 from levyspline.cli import main, parse_benchmark_spec
-from levyspline.model import (
-    DegreeComponent,
-    Hyperparams,
-    ModelState,
-    sample_atom,
-)
+from levyspline.model import Hyperparams, sample_atom
 from levyspline.reference import STUDY_HYPERPARAMS
 from levyspline.sampler import (
     Chain,
@@ -29,7 +24,13 @@ from levyspline.sampler import (
     run_chain,
 )
 from levyspline.signals import generate_dataset
-from oracles import basis_integral, birth_log_ratio, death_log_ratio, eval_basis
+from oracles import (
+    basis_integral,
+    birth_log_ratio,
+    death_log_ratio,
+    eval_basis,
+    make_state,
+)
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -191,12 +192,6 @@ def _fd(kv, x, order, h):
     return acc / h**order
 
 
-def _make_state(atoms_by_k, sigma2=1.0, M=1.0, phi=1.0):
-    comps = {k: DegreeComponent(degree=k, atoms=list(v), M=M)
-             for k, v in atoms_by_k.items()}
-    return ModelState(beta0=0.0, components=comps, sigma2=sigma2, phi=phi)
-
-
 class TestSamplerCorrectness:
     def test_criterion_7a_birth_death_reciprocity(self):
         rng = np.random.default_rng(7)
@@ -209,11 +204,11 @@ class TestSamplerCorrectness:
             J = int(rng.integers(0, 5))  # J = 0 exercises the forced birth
             atoms = {kk: [] for kk in range(4)}
             atoms[k] = [sample_atom(k, 1.0, data.domain, rng) for _ in range(J)]
-            state = _make_state(atoms, sigma2=float(rng.uniform(0.05, 3.0)),
+            state = make_state(atoms, sigma2=float(rng.uniform(0.05, 3.0)),
                                 M=float(rng.uniform(0.1, 6.0)))
             atom = sample_atom(k, 1.0, data.domain, rng)
             up = birth_log_ratio(state, k, atom, data, hyper)
-            post = _make_state(
+            post = make_state(
                 {kk: list(state.components[kk].atoms) for kk in range(4)},
                 sigma2=state.sigma2, M=state.components[k].M)
             post.components[k].atoms.append(atom)
@@ -233,7 +228,7 @@ class TestSamplerCorrectness:
 
         # coefficient conditional: N(mu, v) computed independently
         atom = sample_atom(0, 1.2, data.domain, rng)
-        state = _make_state({0: [atom]}, sigma2=0.5, phi=1.2)
+        state = make_state({0: [atom]}, sigma2=0.5, phi=1.2)
         chain = Chain(data, Hyperparams((0,)), rng, state=state)
         col = basis_values(atom.knots.knots, 0, data.x)
         v = 1.0 / (float(col @ col) / 0.5 + 1.0 / 1.2**2)
@@ -249,7 +244,7 @@ class TestSamplerCorrectness:
 
         # Poisson-rate conditional: Ga(a + J, rate b + 1)
         atoms = [sample_atom(0, 1.0, data.domain, rng) for _ in range(4)]
-        chain = Chain(data, hyper, rng, state=_make_state({0: atoms}))
+        chain = Chain(data, hyper, rng, state=make_state({0: atoms}))
         draws = []
         for _ in range(n_draws):
             chain.gibbs_M(0)
@@ -262,7 +257,7 @@ class TestSamplerCorrectness:
         details.append(f"M: mean within 3se {ok_M}, KS p={p_M:.3f}")
 
         # variance conditional: IG((r+n)/2, (rss + rR)/2)
-        chain = Chain(data, hyper, rng, state=_make_state({0: []}))
+        chain = Chain(data, hyper, rng, state=make_state({0: []}))
         rss = float(data.y @ data.y)
         a_ig, b_ig = (2.0 + 64) / 2, (rss + 2.0 * 1.0) / 2
         draws = []

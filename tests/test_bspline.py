@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from pytest import approx
 
 from levyspline.bspline import KnotVector, basis_values
-from levyspline.model import Atom, DegreeComponent, ModelState
-from oracles import basis_integral, eval_basis, eval_mean
+from levyspline.model import Atom
+from oracles import basis_integral, eval_basis, eval_mean, make_state
 
 
 def quadrature_integral(kv, order=8):
@@ -286,35 +286,25 @@ def _fd(kv, x, order, h):
 
 
 class TestEvalMean:
-    def _state(self, beta0, atoms):
-        by_k = {}
-        for a in atoms:
-            by_k.setdefault(a.degree, []).append(a)
-        comps = {
-            k: DegreeComponent(degree=k, atoms=v, M=1.0)
-            for k, v in by_k.items()
-        }
-        return ModelState(beta0=beta0, components=comps, sigma2=1.0, phi=1.0)
-
     def test_empty_sum(self):
-        state = self._state(2.5, [])
+        state = make_state({}, beta0=2.5)
         assert eval_mean(state, 0.123) == approx(2.5)
 
     def test_single_indicator(self):
-        state = self._state(0.0, [Atom(KnotVector(0, (0.0, 1.0)), 3.0)])
+        state = make_state({0: [Atom(KnotVector(0, (0.0, 1.0)), 3.0)]})
         assert eval_mean(state, 0.5) == approx(3.0)
 
     def test_two_atoms(self):
-        atoms = [
-            Atom(KnotVector(0, (0.0, 1.0)), 2.0),
-            Atom(KnotVector(1, (0.0, 0.5, 1.0)), -1.0),
-        ]
-        state = self._state(1.0, atoms)
+        atoms = {
+            0: [Atom(KnotVector(0, (0.0, 1.0)), 2.0)],
+            1: [Atom(KnotVector(1, (0.0, 0.5, 1.0)), -1.0)],
+        }
+        state = make_state(atoms, beta0=1.0)
         assert eval_mean(state, 0.5) == approx(2.0)
 
     def test_vectorized_matches_scalar(self):
-        atoms = [Atom(KnotVector(2, (0.0, 0.2, 0.6, 1.0)), 1.7)]
-        state = self._state(0.3, atoms)
+        state = make_state({2: [Atom(KnotVector(2, (0.0, 0.2, 0.6, 1.0)), 1.7)]},
+                           beta0=0.3)
         xs = np.linspace(0, 1, 17)
         vec = eval_mean(state, xs)
         assert vec == approx([eval_mean(state, float(x)) for x in xs])

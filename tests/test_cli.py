@@ -100,6 +100,16 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="cannot parse"):
             parse_config("iterations = ten\n")
 
+    def test_duplicate_field(self):
+        with pytest.raises(ValueError, match="config line 3: duplicate field 'iterations'"):
+            parse_config("iterations = 100\nseed = 2\niterations = 200000\n")
+
+    @pytest.mark.parametrize("line", ["moves_per_degree = 1", "beta_sweep = false"])
+    def test_removed_sweep_keys_rejected(self, line):
+        # a config dumped before the sweep lost these keys names them
+        with pytest.raises(ValueError, match="unknown field"):
+            parse_config(line + "\n")
+
     def test_invalid_combination_caught_at_parse(self):
         with pytest.raises(ValueError):
             parse_config("iterations = 100\nburn_in = 100\n")
@@ -122,7 +132,7 @@ class TestRunConfig:
             parse_config(text + "\n")
 
     def test_dump_round_trip(self):
-        cfg = parse_config("degrees = 1,3\nr = 0.125\nbeta_sweep = true\n")
+        cfg = parse_config("degrees = 1,3\nr = 0.125\nfull_recompute = true\n")
         assert parse_config(cfg.dump()) == cfg
 
     def test_load_config_with_overrides(self, tmp_path):
@@ -147,6 +157,8 @@ class TestBenchmarkSpec:
         spec = parse_benchmark_spec(
             "function = heavisine\nn = 128\nrsnr = 10\nreplicates = 2\ndegrees = 0,2\n")
         assert spec.chain == ChainConfig(iterations=50000, burn_in=25000, thin=10, seed=0)
+        assert (spec.hyper.r, spec.hyper.R, spec.hyper.a_gamma, spec.hyper.b_gamma) == (
+            0.01, 0.01, 1.0, 1.0)
         assert spec.threshold is None
 
     def test_missing_required(self):
@@ -161,6 +173,11 @@ class TestBenchmarkSpec:
     def test_unknown_key(self):
         with pytest.raises(ValueError, match="unknown field"):
             parse_benchmark_spec("widgets = 3\n")
+
+    def test_duplicate_key(self):
+        with pytest.raises(ValueError,
+                           match="benchmark spec line 7: duplicate field 'iterations'"):
+            parse_benchmark_spec(self._SPEC + "iterations = 100\niterations = 200000\n")
 
     _SPEC = "function = heavisine\nn = 16\nrsnr = inf\nreplicates = 1\ndegrees = 0\n"
 
@@ -328,20 +345,22 @@ class TestFitCommand:
         assert capsys.readouterr().err == (
             "error: domain width must be finite, got (-1e+308, 1e+308)\n")
 
-    def test_config_moves_per_degree_changes_trace(self, tmp_path):
-        # the config key reaches the sweep: two moves per degree make
-        # another chain than the default one
+    @pytest.mark.parametrize("config, message", [
+        ("q_lower = 0.0251\nq_upper = 0.0254\n",
+         "error: config field q_lower must be a whole per-mille, got 0.0251\n"),
+        ("q_upper = 0.9755\n", "error: config field q_upper must be a whole per-mille, got 0.9755\n"),
+    ], ids=["lower-collides-with-upper", "upper"])
+    def test_band_level_off_per_mille_exits_1(self, tmp_path, capsys, config, message):
+        # the header names each level in per-mille: 0.0251 and 0.0254 would
+        # both write a column `q025`
         data = self._simulate(tmp_path)
-        config = tmp_path / "two.txt"
-        config.write_text("moves_per_degree = 2\n")
-        for prefix, extra in (("one", []), ("two", ["--config", str(config)])):
-            assert main(["fit", data, "--out-prefix", str(tmp_path / prefix),
-                         "--iterations", "300", "--burn-in", "100", "--degrees", "0",
-                         "--seed", "3", "--save-trace", *extra]) == 0
-        one = (tmp_path / "one_trace.csv").read_text()
-        two = (tmp_path / "two_trace.csv").read_text()
-        assert one.splitlines()[0] == two.splitlines()[0]
-        assert one != two
+        (tmp_path / "levels.txt").write_text(config)
+        rc = main(["fit", data, "--out-prefix", str(tmp_path / "b"), "--config",
+                   str(tmp_path / "levels.txt"), "--iterations", "200", "--burn-in", "50",
+                   "--degrees", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "b_curve.csv").exists()
 
     @pytest.mark.parametrize("config, flags, message", [
         ("r = nan\n", [], "error: r must be finite and positive, got nan"),

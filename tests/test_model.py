@@ -19,26 +19,19 @@ from levyspline.model import (
     uniform,
 )
 from levyspline.signals import generate_dataset
-from oracles import atom_log_prior, eval_basis, log_likelihood
+from oracles import atom_log_prior, eval_basis, log_likelihood, make_state
 
 LOG_2PI = math.log(2 * math.pi)
 
 
-def make_state(beta0, atoms, sigma2=1.0, degrees=None, phi=1.0, M=1.0):
-    by_k = {}
-    for a in atoms:
-        by_k.setdefault(a.degree, []).append(a)
-    for k in degrees or ():
-        by_k.setdefault(k, [])
-    comps = {k: DegreeComponent(degree=k, atoms=v, M=M) for k, v in by_k.items()}
-    return ModelState(beta0=beta0, components=comps, sigma2=sigma2, phi=phi)
-
-
 class TestTypes:
     def test_atom_degree_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            DegreeComponent(degree=1, atoms=[Atom(KnotVector(0, (0, 1)), 1.0)],
-                            M=1.0)
+        # a component's degree is its key: a hat filed under degree 0 would
+        # be evaluated as an indicator and share its list with degree-0 births
+        hat = Atom(KnotVector(1, (0.0, 0.5, 1.0)), 1.0)
+        with pytest.raises(ValueError, match="atom of degree 1 in component of degree 0"):
+            ModelState(beta0=0.0, components={0: DegreeComponent(atoms=[hat], M=1.0)},
+                       sigma2=1.0, phi=1.0)
 
     def test_nonpositive_sigma2_rejected(self):
         with pytest.raises(ValueError):
@@ -82,23 +75,22 @@ class TestLogLikelihood:
     def test_zero_residual(self):
         data = Dataset(x=np.array([0.5]), y=np.array([2.5]),
                        domain=(0.0, 1.0))
-        state = make_state(2.5, [], degrees=(0,))
+        state = make_state({0: []}, beta0=2.5)
         assert log_likelihood(state, data) == approx(-0.5 * LOG_2PI)
 
     def test_unit_residuals(self):
         data = Dataset(x=np.array([0.2, 0.8]), y=np.array([1.0, -1.0]),
                        domain=(0.0, 1.0))
-        state = make_state(0.0, [], degrees=(0,))
+        state = make_state({0: []})
         assert log_likelihood(state, data) == approx(-LOG_2PI - 1.0)
 
     def test_against_bruteforce_sum_on_blocks(self):
         data = generate_dataset("blocks", 128, 3.0, seed=4)
         rng = np.random.default_rng(9)
-        atoms = []
-        for k in (0, 1, 2):
-            for _ in range(3):
-                atoms.append(sample_atom(k, 1.5, data.domain, rng))
-        state = make_state(0.7, atoms, sigma2=0.35)
+        atoms_by_k = {k: [sample_atom(k, 1.5, data.domain, rng) for _ in range(3)]
+                      for k in (0, 1, 2)}
+        atoms = [a for v in atoms_by_k.values() for a in v]
+        state = make_state(atoms_by_k, beta0=0.7, sigma2=0.35)
         # independent plain-Python summation oracle
         ll = 0.0
         for xi, yi in zip(data.x, data.y):
@@ -110,7 +102,7 @@ class TestLogLikelihood:
 
     def test_decreases_as_residual_grows(self):
         data = Dataset(x=np.array([0.5]), y=np.array([0.0]), domain=(0.0, 1.0))
-        lls = [log_likelihood(make_state(b, [], degrees=(0,)), data)
+        lls = [log_likelihood(make_state({0: []}, beta0=b), data)
                for b in (0.0, 0.5, 1.0, 2.0)]
         assert all(a > b for a, b in zip(lls, lls[1:]))
 

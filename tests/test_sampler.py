@@ -10,9 +10,7 @@ from levyspline.bspline import KnotVector
 from levyspline.model import (
     Atom,
     Dataset,
-    DegreeComponent,
     Hyperparams,
-    ModelState,
     sample_atom,
 )
 from levyspline.sampler import (
@@ -24,18 +22,12 @@ from levyspline.sampler import (
     run_chain,
 )
 from levyspline.signals import generate_dataset
-from oracles import birth_log_ratio, death_log_ratio, log_likelihood
+from oracles import birth_log_ratio, death_log_ratio, log_likelihood, make_state
 from test_bspline import _reference_basis
 
 
 def flat_data(n=5, value=0.0):
     return Dataset(x=np.linspace(0, 1, n), y=np.full(n, value), domain=(0.0, 1.0))
-
-
-def make_state(atoms_by_k, sigma2=1.0, beta0=0.0, M=1.0, phi=1.0):
-    comps = {k: DegreeComponent(degree=k, atoms=list(v), M=M)
-             for k, v in atoms_by_k.items()}
-    return ModelState(beta0=beta0, components=comps, sigma2=sigma2, phi=phi)
 
 
 HYPER0 = Hyperparams((0,))
@@ -490,22 +482,18 @@ class TestRunChain:
             assert acc <= out.attempts[key]
         assert set(out.acceptance_rates()) <= {"birth_0", "death_0", "relocate_0"}
 
-    @pytest.mark.parametrize("moves", [None, 2])
-    def test_moves_per_degree_sets_moves_per_sweep(self, moves):
-        # each sweep makes `moves_per_degree` moves per degree, 1 by default
+    def test_one_move_per_degree_per_sweep(self):
         data = generate_dataset("modified_heavisine", 32, 3.0, seed=13)
         hyper = Hyperparams((0, 2))
         cfg = ChainConfig(iterations=300, burn_in=100, seed=6)
-        kwargs = {} if moves is None else {"moves_per_degree": moves}
-        out = run_chain(data, hyper, cfg, **kwargs)
+        out = run_chain(data, hyper, cfg)
         for k in hyper.degrees:
             attempts = sum(n for (_, deg), n in out.attempts.items() if deg == k)
-            assert attempts == (moves or 1) * cfg.iterations
+            assert attempts == cfg.iterations
 
 
 class TestResidualCache:
-    @pytest.mark.parametrize("beta_sweep", [False, True])
-    def test_cached_residual_matches_fresh(self, beta_sweep):
+    def test_cached_residual_matches_fresh(self):
         # before and after every move and Gibbs step, and before each
         # proposal's likelihood ratio, the residual and RSS the chain would
         # read are those of its current `fitted`, bit for bit: each write to
@@ -536,13 +524,14 @@ class TestResidualCache:
             setattr(chain, name, checked(name, getattr(chain, name)))
         rebuilt = 0
         for sweep in range(300):
-            chain.sweep(beta_sweep=beta_sweep)
+            chain.sweep()
             if sweep % 50 == 49:
                 before = chain.fitted.tobytes()
                 chain._rebuild_cache()
                 rebuilt += chain.fitted.tobytes() != before
                 check()
         assert all(calls.values())
+        assert calls["gibbs_beta"] == calls["relocate"]  # one draw after each relocation
         for kind in ("birth", "death", "relocate"):
             assert sum(v for (m, _), v in chain.accepts.items() if m == kind) > 0
         # a rebuild moved the fitted values in the last bits, so a stale
@@ -575,10 +564,8 @@ class TestPosteriorCurve:
     def _out(self, curves):
         curves = np.asarray(curves, dtype=float)
         m = len(curves)
-        return ChainOutput(
-            config=ChainConfig(iterations=m, seed=0), curves=curves,
-            sigma2=np.ones(m), J={0: np.zeros(m, dtype=int)},
-            M={0: np.ones(m)}, attempts={}, accepts={})
+        return ChainOutput(curves=curves, sigma2=np.ones(m), J={0: np.zeros(m, dtype=int)},
+                           M={0: np.ones(m)}, attempts={}, accepts={})
 
     def test_single_sample(self):
         out = self._out([[1.0, 2.0, 3.0]])
@@ -635,6 +622,6 @@ class TestPosteriorCurve:
 
     def test_counter_invariant_enforced(self):
         with pytest.raises(ValueError):
-            ChainOutput(config=ChainConfig(iterations=1, seed=0), curves=np.empty((1, 0)),
+            ChainOutput(curves=np.empty((1, 0)),
                         sigma2=np.ones(1), J={0: np.zeros(1, dtype=int)}, M={0: np.ones(1)},
                         attempts={("birth", 0): 1}, accepts={("birth", 0): 2})
