@@ -5,6 +5,10 @@ atoms, one Poisson-rate component per configured degree. The knot prior
 U(domain^(k+2)) is realized as "draw k+2 iid uniforms, sort", whose density
 on the ordered region is (k+2)!/|domain|^(k+2); acceptance ratios only ever
 use prior ratios in which this constant cancels.
+
+A function's `rng` is a numpy `Generator` or a chain's `sampler.Draws`,
+which draws through the same `random`, `normal`, `gamma` and `poisson`
+methods.
 """
 
 from __future__ import annotations
@@ -150,17 +154,22 @@ def _uniform_span(lo: float, hi: float) -> float:
     return span
 
 
-def uniform(lo: float, hi: float, rng: np.random.Generator) -> float:
-    """`rng.uniform(lo, hi)` bit for bit: numpy computes lo + (hi - lo) * random()."""
+def uniform(lo: float, hi: float, rng) -> float:
+    """lo + (hi - lo) * rng.random(), `Generator.uniform`'s formula and checks.
+
+    Given a `Generator`, this is `rng.uniform(lo, hi)` bit for bit.
+    """
     return lo + _uniform_span(lo, hi) * rng.random()
 
 
 def draw_atom(k: int, phi: float, domain: tuple[float, float],
-              rng: np.random.Generator) -> tuple[float, list[float]]:
+              rng) -> tuple[float, list[float]]:
     """Draw one atom's prior values: beta ~ N(0, phi^2), knots sorted iid uniforms.
 
-    The knots are `rng.uniform(lo, hi, size=k + 2)`'s doubles, sorted: a
-    sorted list of finite values, ready for `basis_values` unvalidated.
+    beta is `rng.normal(0, phi)` and the knots are k + 2 successive
+    `uniform(lo, hi, rng)` draws, sorted: a sorted list of finite values,
+    ready for `basis_values` unvalidated. Given a `Generator`, the knots are
+    `rng.uniform(lo, hi, size=k + 2)`'s doubles.
     """
     if phi <= 0:
         raise ValueError("phi must be positive")
@@ -169,11 +178,10 @@ def draw_atom(k: int, phi: float, domain: tuple[float, float],
         raise ValueError("domain must be non-degenerate")
     beta = float(rng.normal(0.0, phi))
     span = _uniform_span(lo, hi)
-    return beta, sorted([lo + span * u for u in rng.random(k + 2).tolist()])
+    return beta, sorted([lo + span * rng.random() for _ in range(k + 2)])
 
 
-def sample_atom(k: int, phi: float, domain: tuple[float, float],
-                rng: np.random.Generator) -> Atom:
+def sample_atom(k: int, phi: float, domain: tuple[float, float], rng) -> Atom:
     """Draw one atom from its prior (`draw_atom`'s values, validated)."""
     beta, knots = draw_atom(k, phi, domain, rng)
     return Atom(knots=KnotVector(degree=k, knots=knots), beta=beta)
@@ -190,14 +198,13 @@ def coefficient_scale(data: Dataset) -> float:
     return 0.5 * spread
 
 
-def sample_sigma2_prior(hyper: Hyperparams, rng: np.random.Generator) -> float:
+def sample_sigma2_prior(hyper: Hyperparams, rng) -> float:
     """Draw sigma^2 from its IG(r/2, rR/2) prior."""
     g = rng.gamma(hyper.r / 2.0, 2.0 / (hyper.r * hyper.R))
     return 1.0 / max(g, 1e-300)
 
 
-def init_state(data: Dataset, hyper: Hyperparams,
-               rng: np.random.Generator) -> ModelState:
+def init_state(data: Dataset, hyper: Hyperparams, rng) -> ModelState:
     """Initialize from the prior with beta0 = mean(y) and data-ranged phi."""
     beta0 = float(data.y.mean())
     phi = coefficient_scale(data)

@@ -21,6 +21,18 @@ its atoms before each residual read.
 `run_chain` records a data-grid curve by summing the cached columns
 (`Chain.cached_mean`), which has `mean_on`'s bits; any other grid goes
 through `mean_on`, which evaluates every atom.
+
+A chain draws every random number through its `Draws`, which wraps the
+`Generator` the chain receives. A sweep makes only a handful of scalar
+draws, and one scalar `Generator` call costs tens of times as much as
+popping a float from a list, so `Draws` fills blocks of `BLOCK` uniforms
+(`Generator.random`) and `BLOCK` standard normals
+(`Generator.standard_normal`) and hands them out one at a time, in block
+order. A normal is `loc + scale * z`, numpy's own formula; an atom index is
+exactly uniform, by rejection on the 53-bit integer behind a uniform. Gamma
+and Poisson draws go straight to the `Generator`, in call order. A chain is
+fixed by its seed, but it is not the chain that one `Generator` call per
+draw would give on that seed.
 """
 
 from __future__ import annotations
@@ -44,6 +56,8 @@ from .model import (
 
 BIRTH, DEATH, RELOCATE = "birth", "death", "relocate"
 _TINY = 1e-300
+BLOCK = 1024  # uniforms, and standard normals, drawn per `Generator` call
+_TWO53 = 1 << 53  # a uniform is an integer in [0, 2**53) times 2**-53
 
 
 def _log(x: float) -> float:
@@ -103,7 +117,55 @@ class ChainOutput:
         return rates
 
 
-def choose_move(hyper: Hyperparams, J_k: int, rng: np.random.Generator) -> str:
+class Draws:
+    """A chain's random draws, buffered from one `Generator`.
+
+    Uniforms and standard normals come out in the order of
+    `rng.random(BLOCK)` and `rng.standard_normal(BLOCK)`, block after block,
+    as Python floats; gamma and Poisson draws are the Generator's own.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        # each block is stored reversed, so pop() hands out its first value first
+        self._u: list[float] = []
+        self._z: list[float] = []
+
+    def random(self) -> float:
+        try:
+            return self._u.pop()
+        except IndexError:
+            self._u = self.rng.random(BLOCK)[::-1].tolist()
+            return self._u.pop()
+
+    def normal(self, loc: float, scale: float) -> float:
+        try:
+            z = self._z.pop()
+        except IndexError:
+            self._z = self.rng.standard_normal(BLOCK)[::-1].tolist()
+            z = self._z.pop()
+        return loc + scale * z
+
+    def index(self, J: int) -> int:
+        """An exactly uniform draw from range(J), J >= 1.
+
+        The next uniform's 53-bit integer m is rejected when m >= 2**53 -
+        2**53 % J, which leaves an equal count of each residue m % J.
+        """
+        limit = _TWO53 - _TWO53 % J
+        while True:
+            m = int(self.random() * _TWO53)
+            if m < limit:
+                return m % J
+
+    def gamma(self, shape: float, scale: float) -> float:
+        return self.rng.gamma(shape, scale)
+
+    def poisson(self, lam: float) -> int:
+        return self.rng.poisson(lam)
+
+
+def choose_move(hyper: Hyperparams, J_k: int, rng: Draws | np.random.Generator) -> str:
     """Birth is forced while the component is empty; otherwise (p_b, p_d, p_w)."""
     if J_k == 0:
         return BIRTH
@@ -121,20 +183,22 @@ class Chain:
 
     The chain fits its own `x`/`y`: the data's, or none of them when
     `prior_only`. The knot domain is the data's either way, and so are
-    `phi` and `beta0` when the chain starts from `init_state`.
+    `phi` and `beta0` when the chain starts from `init_state`. Every draw,
+    the initial state's included, goes through `self.draws`, which wraps
+    `rng`.
     """
 
     def __init__(self, data: Dataset, hyper: Hyperparams, rng: np.random.Generator,
                  state: ModelState | None = None, prior_only: bool = False,
                  full_recompute: bool = False):
         self.hyper = hyper
-        self.rng = rng
+        self.draws = Draws(rng)
         self.domain = data.domain
         self.full_recompute = full_recompute
         n = 0 if prior_only else data.n
         self.x, self.y = data.x[:n], data.y[:n]
         if state is None:
-            state = init_state(data, hyper, rng)
+            state = init_state(data, hyper, self.draws)
         self.beta0 = state.beta0
         self.sigma2 = state.sigma2
         self.phi = state.phi
@@ -195,7 +259,7 @@ class Chain:
         return -(_rss(resid - delta) - rss) / (2.0 * self.sigma2)
 
     def _accept(self, log_ratio: float) -> bool:
-        return math.log(self.rng.random() + _TINY) < log_ratio
+        return math.log(self.draws.random() + _TINY) < log_ratio
 
     def mean_on(self, grid: np.ndarray) -> np.ndarray:
         """The mean on any `grid`, evaluating every atom's basis there."""
@@ -209,7 +273,7 @@ class Chain:
 
     def birth(self, k: int) -> tuple[bool, float]:
         J = len(self.atoms[k])
-        beta, knots = draw_atom(k, self.phi, self.domain, self.rng)
+        beta, knots = draw_atom(k, self.phi, self.domain, self.draws)
         col = self._col(knots, k)
         delta = beta * col
         log_ratio = birth_ratio(self._llr(delta), self.M[k], J, self.hyper)
@@ -225,7 +289,7 @@ class Chain:
         J = len(atoms)
         if J == 0:
             raise RuntimeError("death move attempted on an empty component")
-        r = int(self.rng.integers(J))
+        r = self.draws.index(J)
         delta = -atoms[r].beta * self.cols[k][r]
         log_ratio = death_ratio(self._llr(delta), self.M[k], J, self.hyper)
         accepted = self._accept(log_ratio)
@@ -240,7 +304,7 @@ class Chain:
         J = len(atoms)
         if J == 0:
             raise RuntimeError("relocation attempted on an empty component")
-        r = int(self.rng.integers(J))
+        r = self.draws.index(J)
         beta = atoms[r].beta
         knots = list(atoms[r].knots.knots)
         lo_bound, hi_bound = self.domain
@@ -249,7 +313,7 @@ class Chain:
             lo = knots[i - 1] if i > 0 else lo_bound
             hi = knots[i + 1] if i < k + 1 else hi_bound
             candidate = knots.copy()
-            candidate[i] = uniform(lo, hi, self.rng)
+            candidate[i] = uniform(lo, hi, self.draws)
             new_col = self._col(candidate, k)
             delta = beta * (new_col - self.cols[k][r])
             accepted = self._accept(self._llr(delta))
@@ -271,26 +335,26 @@ class Chain:
         var = 1.0 / (float(col @ col) / self.sigma2 + 1.0 / self.phi**2)
         partial = resid + atom.beta * col
         mean = var * float(partial @ col) / self.sigma2
-        new_beta = float(self.rng.normal(mean, math.sqrt(var)))
+        new_beta = self.draws.normal(mean, math.sqrt(var))
         self.fitted = self.fitted + (new_beta - atom.beta) * col
         self.atoms[k][idx] = Atom(knots=atom.knots, beta=new_beta)
 
     def gibbs_M(self, k: int):
         a = self.hyper.a_gamma + len(self.atoms[k])
         b = self.hyper.b_gamma + 1.0
-        self.M[k] = max(float(self.rng.gamma(a, 1.0 / b)), _TINY)
+        self.M[k] = max(float(self.draws.gamma(a, 1.0 / b)), _TINY)
 
     def gibbs_sigma2(self):
         r, R = self.hyper.r, self.hyper.R
         r0 = r + len(self.y)
         R0 = (self._resid()[1] + r * R) / r0
-        g = self.rng.gamma(r0 / 2.0, 2.0 / max(r0 * R0, _TINY))
+        g = self.draws.gamma(r0 / 2.0, 2.0 / max(r0 * R0, _TINY))
         self.sigma2 = 1.0 / max(g, _TINY)
 
     # ---- outer loop -------------------------------------------------------
 
     def move(self, k: int) -> None:
-        kind = choose_move(self.hyper, len(self.atoms[k]), self.rng)
+        kind = choose_move(self.hyper, len(self.atoms[k]), self.draws)
         if kind == BIRTH:
             accepted, _ = self.birth(k)
         elif kind == DEATH:

@@ -14,9 +14,11 @@ from levyspline.model import (
     sample_atom,
 )
 from levyspline.sampler import (
+    BLOCK,
     Chain,
     ChainConfig,
     ChainOutput,
+    Draws,
     choose_move,
     posterior_curve,
     run_chain,
@@ -43,6 +45,115 @@ class TestChainConfig:
     def test_retained_count(self):
         assert ChainConfig(iterations=10).retained == 10
         assert ChainConfig(iterations=100, burn_in=30, thin=7).retained == 10
+
+
+class BlockStub:
+    """Stands in for a `Generator`: each block is `values`, padded with 0.5."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size):
+        return np.array((self.values + [0.5] * size)[:size])
+
+
+class CountingGenerator:
+    """The `Generator` methods a chain calls, counting each kind of call."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = dict.fromkeys(("random", "standard_normal", "gamma", "poisson"), 0)
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args):
+            self.calls[name] += 1
+            return method(*args)
+        return counted
+
+
+class TestDraws:
+    def test_uniforms_in_block_order_across_refills(self):
+        draws = Draws(np.random.default_rng(70))
+        got = [draws.random() for _ in range(2 * BLOCK + 5)]
+        want = np.random.default_rng(70).random(3 * BLOCK)[: len(got)]
+        assert all(type(u) is float for u in got)
+        assert np.array(got).tobytes() == want.tobytes()
+
+    def test_normal_is_loc_plus_scale_times_standard_normal(self):
+        # numpy's own formula: scalar `Generator.normal` calls give the same bits
+        pairs = [(0.0, 1.0), (-3.5, 0.25), (1e3, 7.0)] * BLOCK
+        draws = Draws(np.random.default_rng(71))
+        got = [draws.normal(loc, scale) for loc, scale in pairs]
+        z = np.random.default_rng(71).standard_normal(3 * BLOCK).tolist()
+        want = [loc + scale * zi for (loc, scale), zi in zip(pairs, z)]
+        scalar = np.random.default_rng(71)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert got == [float(scalar.normal(loc, scale)) for loc, scale in pairs]
+
+    def test_uniforms_and_normals_draw_separate_blocks(self):
+        draws = Draws(np.random.default_rng(72))
+        u, z = draws.random(), draws.normal(0.0, 1.0)
+        rng = np.random.default_rng(72)
+        assert u == rng.random(BLOCK)[0] and z == rng.standard_normal(BLOCK)[0]
+        assert draws.gamma(2.0, 1.0) == rng.gamma(2.0, 1.0)
+        assert draws.poisson(3.0) == rng.poisson(3.0)
+
+    def test_index_is_the_integer_behind_a_uniform(self):
+        J = 7
+        draws = Draws(np.random.default_rng(73))
+        got = [draws.index(J) for _ in range(3 * BLOCK)]
+        u = np.random.default_rng(73).random(3 * BLOCK)
+        m = u * 2.0**53
+        assert (m == np.floor(m)).all()  # a uniform is an integer times 2**-53
+        assert got == [int(v) % J for v in m]
+
+    @pytest.mark.parametrize("J", [1, 3 * 2**50 + 1])
+    def test_index_in_range(self, J):
+        draws = Draws(np.random.default_rng(74))
+        got = {draws.index(J) for _ in range(2000)}
+        assert min(got) >= 0 and max(got) < J
+        if J == 1:
+            assert got == {0}
+
+    def test_index_uniform_chi_square(self):
+        # bound fixed before the run: reject at p < 1e-4
+        J, n = 13, 130_000
+        draws = Draws(np.random.default_rng(75))
+        counts = np.bincount([draws.index(J) for _ in range(n)], minlength=J)
+        assert len(counts) == J
+        stat = float(((counts - n / J) ** 2 / (n / J)).sum())
+        assert stat < st.chi2.isf(1e-4, J - 1)
+
+    def test_index_rejects_the_incomplete_top_range(self):
+        # J = 3: 2**53 % 3 == 2, so the integers 2**53 - 2 and 2**53 - 1 are rejected
+        top = [(2**53 - 1) / 2**53, (2**53 - 2) / 2**53, 5 / 2**53, 0.25]
+        draws = Draws(BlockStub(top))
+        assert draws.index(3) == 5 % 3
+        assert draws.random() == 0.25  # the two rejected uniforms were consumed
+
+    def test_run_chain_reproducible_across_refills(self, monkeypatch):
+        data = generate_dataset("modified_heavisine", 64, 3.0, seed=76)
+        hyper = Hyperparams((0, 1, 2, 3))
+        cfg = ChainConfig(iterations=2500, burn_in=500, thin=5, seed=77)
+        gens, default_rng = [], np.random.default_rng
+
+        def counting_rng(seed):
+            gens.append(CountingGenerator(default_rng(seed)))
+            return gens[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        a, b = run_chain(data, hyper, cfg), run_chain(data, hyper, cfg)
+        assert len(gens) == 2 and gens[0].calls == gens[1].calls
+        # the first block and at least three refills of each kind
+        assert gens[0].calls["random"] >= 4 and gens[0].calls["standard_normal"] >= 4
+        assert a.curves.tobytes() == b.curves.tobytes()
+        assert a.sigma2.tobytes() == b.sigma2.tobytes()
+        for k in hyper.degrees:
+            assert a.J[k].tobytes() == b.J[k].tobytes()
+            assert a.M[k].tobytes() == b.M[k].tobytes()
+        assert (a.attempts, a.accepts) == (b.attempts, b.accepts)
 
 
 class TestChooseMove:
@@ -108,7 +219,7 @@ class TestBirthDeathRatios:
 
     def test_chain_ratios_match_full_likelihood_oracle(self):
         # Chain.birth/death run the incremental likelihood; a clone of the
-        # generator draws the same atom (birth) or index (death) for the oracle
+        # chain's draws gives the same atom (birth) or index (death) for the oracle
         rng = np.random.default_rng(43)
         data = generate_dataset("heavisine", 48, 3.0, seed=1)
         hyper = Hyperparams((0, 1, 2, 3))
@@ -121,14 +232,16 @@ class TestBirthDeathRatios:
             atoms[k] = [sample_atom(k, 1.0, data.domain, rng) for _ in range(J)]
             state = make_state(atoms, sigma2=float(rng.uniform(0.05, 3.0)),
                                M=float(rng.uniform(0.1, 6.0)))
-            clone = copy.deepcopy(rng)
-            _, chain_lr = Chain(data, hyper, rng, state=state).birth(k)
+            chain = Chain(data, hyper, rng, state=state)
+            clone = copy.deepcopy(chain.draws)
+            _, chain_lr = chain.birth(k)
             atom = sample_atom(k, state.phi, data.domain, clone)
             worst = max(worst, abs(chain_lr - birth_log_ratio(state, k, atom, data, hyper)))
             if J > 0:
-                clone = copy.deepcopy(rng)
-                _, chain_lr = Chain(data, hyper, rng, state=state).death(k)
-                r = int(clone.integers(J))
+                chain = Chain(data, hyper, rng, state=state)
+                clone = copy.deepcopy(chain.draws)
+                _, chain_lr = chain.death(k)
+                r = clone.index(J)
                 worst = max(worst, abs(chain_lr - death_log_ratio(state, k, r, data, hyper)))
         assert boundary > 100
         assert worst <= 1e-10
@@ -466,12 +579,14 @@ class TestRunChain:
             assert curve.tobytes() == want.tobytes()
 
     def test_prior_only_recovers_prior_means(self):
+        # 3 Monte Carlo standard errors; the chain is long because at 30k
+        # sweeps this seed's means sat 3.2 se below the targets
         data = generate_dataset("blocks", 16, 3.0, seed=11)
         hyper = Hyperparams((0,), a_gamma=2.0, b_gamma=1.0)
-        cfg = ChainConfig(iterations=30_000, burn_in=5_000, seed=3)
+        cfg = ChainConfig(iterations=240_000, burn_in=5_000, seed=3)
         out = run_chain(data, hyper, cfg, grid=np.empty(0), prior_only=True)
         for trace, target in ((out.M[0], 2.0), (out.J[0].astype(float), 2.0)):
-            mean, se = batch_mean_se(trace)
+            mean, se = mean_mcse(trace)
             assert mean == approx(target, abs=3 * se)
 
     def test_counters_consistent(self):
@@ -552,12 +667,37 @@ def replay_chain(data, hyper, cfg, **mode):
             yield chain
 
 
-def batch_mean_se(trace, batches=50):
-    """Batch-means standard error for an autocorrelated trace."""
+def mean_mcse(trace):
+    """Mean and Monte Carlo standard error of an autocorrelated trace.
+
+    The effective sample size comes from Geyer's initial monotone sequence
+    of paired autocorrelations, as in Vehtari et al. (2021).
+    """
     trace = np.asarray(trace, dtype=float)
-    size = len(trace) // batches
-    means = trace[: batches * size].reshape(batches, size).mean(axis=1)
-    return float(trace.mean()), float(means.std(ddof=1) / math.sqrt(batches))
+    n = len(trace)
+    spectrum = np.fft.rfft(trace - trace.mean(), 2 * n)
+    acov = np.fft.irfft(spectrum * np.conj(spectrum))[:n] / n
+    pairs = (acov[: n - n % 2] / acov[0]).reshape(-1, 2).sum(axis=1)
+    negative = np.flatnonzero(pairs <= 0)
+    pairs = np.minimum.accumulate(pairs[: negative[0] if len(negative) else len(pairs)])
+    tau = 2 * pairs.sum() - 1
+    return float(trace.mean()), math.sqrt(acov[0] * tau / n)
+
+
+def test_mean_mcse_on_ar1():
+    # AR(1) with coefficient phi: the mean's variance is (1 + phi) / (1 - phi) / n
+    # times the stationary variance 1 / (1 - phi**2)
+    phi, n = 0.9, 200_000
+    rng = np.random.default_rng(80)
+    trace = np.empty(n)
+    trace[0] = rng.standard_normal() / math.sqrt(1 - phi**2)
+    noise = rng.standard_normal(n)
+    for i in range(1, n):
+        trace[i] = phi * trace[i - 1] + noise[i]
+    want = math.sqrt((1 + phi) / (1 - phi) / (1 - phi**2) / n)
+    assert mean_mcse(trace)[1] == approx(want, rel=0.1)
+    iid = rng.standard_normal(n)
+    assert mean_mcse(iid)[1] == approx(1 / math.sqrt(n), rel=0.05)
 
 
 class TestPosteriorCurve:
