@@ -11,7 +11,9 @@
 #     with --save-trace and --dump-config;
 #   - simulate modified_heavisine n=512, then fit it at degrees 0-3 on the
 #     data grid with --save-trace;
-#   - a --full-recompute fit and two --prior-only fits (one on the data grid);
+#   - a --full-recompute fit at degrees 0-3, so relocation of degree-2 and
+#     degree-3 atoms runs under full recompute too, and two --prior-only
+#     fits (one on the data grid);
 #   - summarize on the modified_heavisine trace;
 #   - a 3-replicate heavisine benchmark in csv (with --verbose) and in json;
 #   - a fit --config whose file sets every hyperparameter key (r, R,
@@ -119,7 +121,7 @@ EOF
         --out mh.csv --truth-out mh_truth.csv
     run fit_mh fit mh.csv --degrees 0,1,2,3 --grid 0 --iterations 4000 \
         --burn-in 2000 --thin 10 --seed 7 --out-prefix mh_fit --save-trace
-    run fit_full fit blocks.csv --degrees 0,1 --iterations 500 --burn-in 100 \
+    run fit_full fit blocks.csv --degrees 0,1,2,3 --iterations 500 --burn-in 100 \
         --thin 2 --seed 3 --full-recompute --out-prefix full_fit
     run fit_prior fit blocks.csv --degrees 0,1 --iterations 2000 --burn-in 500 \
         --thin 5 --seed 9 --prior-only --out-prefix prior_fit

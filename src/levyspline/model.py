@@ -154,22 +154,14 @@ def _uniform_span(lo: float, hi: float) -> float:
     return span
 
 
-def uniform(lo: float, hi: float, rng) -> float:
-    """lo + (hi - lo) * rng.random(), `Generator.uniform`'s formula and checks.
-
-    Given a `Generator`, this is `rng.uniform(lo, hi)` bit for bit.
-    """
-    return lo + _uniform_span(lo, hi) * rng.random()
-
-
 def draw_atom(k: int, phi: float, domain: tuple[float, float],
               rng) -> tuple[float, list[float]]:
     """Draw one atom's prior values: beta ~ N(0, phi^2), knots sorted iid uniforms.
 
     beta is `rng.normal(0, phi)` and the knots are k + 2 successive
-    `uniform(lo, hi, rng)` draws, sorted: a sorted list of finite values,
-    ready for `basis_values` unvalidated. Given a `Generator`, the knots are
-    `rng.uniform(lo, hi, size=k + 2)`'s doubles.
+    `lo + (hi - lo) * rng.random()` draws, sorted: a sorted list of finite
+    values, ready for `basis_values` unvalidated. Given a `Generator`, the
+    knots are `rng.uniform(lo, hi, size=k + 2)`'s doubles.
     """
     if phi <= 0:
         raise ValueError("phi must be positive")

@@ -11,12 +11,12 @@ from its Normal full conditional.
 
 `Chain` is the only move kernel and `birth_ratio`/`death_ratio` the only
 acceptance-ratio code. Every likelihood ratio is computed incrementally from
-cached basis columns and the residual `y - fitted`. Most proposals are
-rejected, so the `fitted` setter computes the residual and its sum of
-squares once for every read until the next write, and a birth builds its
-validated `Atom` only when accepted. A prior-only chain is the same chain
-fitted to no observations; a full-recompute chain rebuilds the cache from
-its atoms before each residual read.
+the basis columns cached in the chain's atom records and the residual
+`y - fitted`. Most proposals are rejected, so the `fitted` setter computes
+the residual and its sum of squares once for every read until the next
+write. A prior-only chain is the same chain fitted to no observations; a
+full-recompute chain rebuilds every column from its record's knots before
+each residual read.
 
 `run_chain` records a data-grid curve by summing the cached columns
 (`Chain.cached_mean`), which has `mean_on`'s bits; any other grid goes
@@ -42,16 +42,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import KnotVector, basis_values
+from .bspline import basis_values
 from .model import (
-    Atom,
     Dataset,
     Hyperparams,
     ModelState,
     draw_atom,
     init_state,
-    sample_atom,  # noqa: F401  bound here for span tracing; births call draw_atom
-    uniform,
+    # births call draw_atom; the benchmark tracer's install() wraps this name
+    sample_atom,  # noqa: F401
 )
 
 BIRTH, DEATH, RELOCATE = "birth", "death", "relocate"
@@ -181,6 +180,12 @@ def choose_move(hyper: Hyperparams, J_k: int, rng: Draws | np.random.Generator) 
 class Chain:
     """Mutable sampler state with cached basis columns and fitted values.
 
+    `atoms[k]` is the chain's only store of degree k's atoms: a list of
+    plain `(knots, beta, col)` records, `knots` a sorted list of k + 2
+    floats and `col` its `basis_values` on the chain's `x`. The validated
+    `ModelState` (from `init_state`, or a caller's `state`) is read once,
+    in `__init__`; moves build no validated object.
+
     The chain fits its own `x`/`y`: the data's, or none of them when
     `prior_only`. The knot domain is the data's either way, and so are
     `phi` and `beta0` when the chain starts from `init_state`. Every draw,
@@ -202,8 +207,10 @@ class Chain:
         self.beta0 = state.beta0
         self.sigma2 = state.sigma2
         self.phi = state.phi
-        self.atoms: dict[int, list[Atom]] = {
-            k: list(comp.atoms) for k, comp in state.components.items()}
+        # each record's column is filled in by the _rebuild_cache call below
+        self.atoms: dict[int, list[tuple[list[float], float, np.ndarray]]] = {
+            k: [(list(a.knots.knots), a.beta, None) for a in comp.atoms]
+            for k, comp in state.components.items()}
         self.M: dict[int, float] = {k: comp.M for k, comp in state.components.items()}
         if set(self.atoms) != set(hyper.degrees):
             raise ValueError("state degrees do not match hyperparameter degrees")
@@ -213,14 +220,11 @@ class Chain:
 
     # ---- caches -----------------------------------------------------------
 
-    def _col(self, knots, k) -> np.ndarray:
-        return basis_values(knots, k, self.x)
-
     def _rebuild_cache(self):
-        self.cols: dict[int, list[np.ndarray]] = {
-            k: [self._col(a.knots.knots, k) for a in atoms]
-            for k, atoms in self.atoms.items()
-        }
+        # in place: a relocation in progress holds its degree's list
+        for k, atoms in self.atoms.items():
+            atoms[:] = [(knots, beta, basis_values(knots, k, self.x))
+                        for knots, beta, _ in atoms]
         self.fitted = self.cached_mean()
 
     @property
@@ -242,9 +246,9 @@ class Chain:
         can differ from it in the last bits.
         """
         out = np.full(len(self.x), self.beta0)
-        for k, atoms in self.atoms.items():
-            for a, col in zip(atoms, self.cols[k]):
-                out += a.beta * col
+        for atoms in self.atoms.values():
+            for _, beta, col in atoms:
+                out += beta * col
         return out
 
     def _resid(self) -> tuple[np.ndarray, float]:
@@ -255,7 +259,7 @@ class Chain:
 
     def _llr(self, delta: np.ndarray) -> float:
         """Log-likelihood ratio of adding `delta` to the fitted values."""
-        resid, rss = self._resid() if self.full_recompute else self._resid_rss
+        resid, rss = self._resid()
         return -(_rss(resid - delta) - rss) / (2.0 * self.sigma2)
 
     def _accept(self, log_ratio: float) -> bool:
@@ -265,8 +269,8 @@ class Chain:
         """The mean on any `grid`, evaluating every atom's basis there."""
         out = np.full(len(grid), self.beta0)
         for k, atoms in self.atoms.items():
-            for a in atoms:
-                out += a.beta * basis_values(a.knots.knots, k, grid)
+            for knots, beta, _ in atoms:
+                out += beta * basis_values(knots, k, grid)
         return out
 
     # ---- reversible-jump moves -------------------------------------------
@@ -274,13 +278,12 @@ class Chain:
     def birth(self, k: int) -> tuple[bool, float]:
         J = len(self.atoms[k])
         beta, knots = draw_atom(k, self.phi, self.domain, self.draws)
-        col = self._col(knots, k)
+        col = basis_values(knots, k, self.x)
         delta = beta * col
         log_ratio = birth_ratio(self._llr(delta), self.M[k], J, self.hyper)
         accepted = self._accept(log_ratio)
         if accepted:
-            self.atoms[k].append(Atom(knots=KnotVector(degree=k, knots=knots), beta=beta))
-            self.cols[k].append(col)
+            self.atoms[k].append((knots, beta, col))
             self.fitted = self.fitted + delta
         return accepted, log_ratio
 
@@ -290,12 +293,12 @@ class Chain:
         if J == 0:
             raise RuntimeError("death move attempted on an empty component")
         r = self.draws.index(J)
-        delta = -atoms[r].beta * self.cols[k][r]
+        _, beta, col = atoms[r]
+        delta = -beta * col
         log_ratio = death_ratio(self._llr(delta), self.M[k], J, self.hyper)
         accepted = self._accept(log_ratio)
         if accepted:
             atoms.pop(r)
-            self.cols[k].pop(r)
             self.fitted = self.fitted + delta
         return accepted, log_ratio
 
@@ -305,22 +308,21 @@ class Chain:
         if J == 0:
             raise RuntimeError("relocation attempted on an empty component")
         r = self.draws.index(J)
-        beta = atoms[r].beta
-        knots = list(atoms[r].knots.knots)
+        knots, beta, col = atoms[r]
         lo_bound, hi_bound = self.domain
         flags = []
         for i in range(k + 2):
             lo = knots[i - 1] if i > 0 else lo_bound
             hi = knots[i + 1] if i < k + 1 else hi_bound
             candidate = knots.copy()
-            candidate[i] = uniform(lo, hi, self.draws)
-            new_col = self._col(candidate, k)
-            delta = beta * (new_col - self.cols[k][r])
+            candidate[i] = lo + (hi - lo) * self.draws.random()
+            new_col = basis_values(candidate, k, self.x)
+            delta = beta * (new_col - col)
             accepted = self._accept(self._llr(delta))
             if accepted:
-                knots = candidate
-                atoms[r] = Atom(knots=KnotVector(degree=k, knots=knots), beta=beta)
-                self.cols[k][r] = new_col
+                knots, col = candidate, new_col
+                # written on every accepted knot: a full-recompute rebuild reads it
+                atoms[r] = (knots, beta, col)
                 self.fitted = self.fitted + delta
             flags.append(accepted)
         self.gibbs_beta(k, r)
@@ -330,14 +332,13 @@ class Chain:
 
     def gibbs_beta(self, k: int, idx: int):
         resid, _ = self._resid()
-        atom = self.atoms[k][idx]
-        col = self.cols[k][idx]
+        knots, beta, col = self.atoms[k][idx]
         var = 1.0 / (float(col @ col) / self.sigma2 + 1.0 / self.phi**2)
-        partial = resid + atom.beta * col
+        partial = resid + beta * col
         mean = var * float(partial @ col) / self.sigma2
         new_beta = self.draws.normal(mean, math.sqrt(var))
-        self.fitted = self.fitted + (new_beta - atom.beta) * col
-        self.atoms[k][idx] = Atom(knots=atom.knots, beta=new_beta)
+        self.fitted = self.fitted + (new_beta - beta) * col
+        self.atoms[k][idx] = (knots, new_beta, col)
 
     def gibbs_M(self, k: int):
         a = self.hyper.a_gamma + len(self.atoms[k])

@@ -236,7 +236,7 @@ class TestSamplerCorrectness:
         draws = []
         for _ in range(n_draws):
             chain.gibbs_beta(0, 0)
-            draws.append(chain.atoms[0][0].beta)
+            draws.append(chain.atoms[0][0][1])
         draws = np.asarray(draws)
         ok_mean = abs(draws.mean() - mu) <= 3 * math.sqrt(v / n_draws)
         p_beta = st.kstest(draws, "norm", args=(mu, math.sqrt(v))).pvalue

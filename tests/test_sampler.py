@@ -6,7 +6,7 @@ import pytest
 import scipy.stats as st
 from pytest import approx
 
-from levyspline.bspline import KnotVector
+from levyspline.bspline import KnotVector, basis_values
 from levyspline.model import (
     Atom,
     Dataset,
@@ -275,7 +275,7 @@ class TestBirthDeathRatios:
             chain = Chain(data, HYPER0, rng, state=make_state({0: list(atoms)}, M=3.0))
             accepted, _ = chain.death(0)
             assert accepted
-            kept = [a.knots.knots for a in chain.atoms[0]]
+            kept = [tuple(knots) for knots, _, _ in chain.atoms[0]]
             removed = [i for i, a in enumerate(atoms)
                        if kept.count(a.knots.knots) == 0][0]
             counts[removed] += 1
@@ -308,8 +308,7 @@ class TestRelocation:
             flags = chain.relocate(2)
             assert len(flags) == 4
             assert len(chain.atoms[2]) == 2
-            for a in chain.atoms[2]:
-                ks = a.knots.knots
+            for ks, _, _ in chain.atoms[2]:
                 assert all(u <= v for u, v in zip(ks, ks[1:]))
                 assert data.domain[0] <= ks[0] and ks[-1] <= data.domain[1]
 
@@ -323,7 +322,7 @@ class TestRelocation:
             chain = Chain(data, hyper, rng, state=make_state({1: [Atom(knots, 0.0)]}))
             assert all(chain.relocate(1))
             # the Gibbs refresh draws a new beta: restart from beta = 0
-            knots = chain.atoms[1][0].knots
+            knots = KnotVector(1, chain.atoms[1][0][0])
 
     def test_prior_only_always_accepts(self):
         data = flat_data(9)
@@ -357,7 +356,7 @@ class TestRelocation:
                                        sigma2=0.01, phi=3.0))
         for _ in range(3000):
             chain.relocate(0)
-        knots = chain.atoms[0][0].knots.knots
+        knots, _, _ = chain.atoms[0][0]
         assert knots[0] == approx(best[0], abs=0.05)
         assert knots[1] == approx(best[1], abs=0.05)
 
@@ -373,7 +372,7 @@ class TestGibbsBeta:
         draws = []
         for _ in range(10_000):
             chain.gibbs_beta(0, 0)
-            draws.append(chain.atoms[0][0].beta)
+            draws.append(chain.atoms[0][0][1])
         draws = np.array(draws)
         assert draws.mean() == approx(0.0, abs=3 * 1.5 / 100)
         assert draws.var() == approx(1.5**2, rel=0.1)
@@ -387,7 +386,7 @@ class TestGibbsBeta:
         draws = []
         for _ in range(10_000):
             chain.gibbs_beta(0, 0)
-            draws.append(chain.atoms[0][0].beta)
+            draws.append(chain.atoms[0][0][1])
         draws = np.array(draws)
         assert draws.mean() == approx(2.0, abs=3 / 100)
         assert draws.var() == approx(1.0, rel=0.1)
@@ -400,7 +399,6 @@ class TestGibbsBeta:
         state = make_state({0: [atom, other]}, sigma2=0.5, beta0=1.0, phi=1.2)
         chain = Chain(data, HYPER0, rng, state=state)
         # analytic conditional computed independently
-        from levyspline.bspline import basis_values
         col = basis_values(atom.knots.knots, 0, data.x)
         col_o = basis_values(other.knots.knots, 0, data.x)
         partial = data.y - 1.0 - other.beta * col_o
@@ -409,7 +407,7 @@ class TestGibbsBeta:
         draws = []
         for _ in range(10_000):
             chain.gibbs_beta(0, 0)
-            draws.append(chain.atoms[0][0].beta)
+            draws.append(chain.atoms[0][0][1])
         draws = np.array(draws)
         n = len(draws)
         assert draws.mean() == approx(mu, abs=3 * math.sqrt(var / n))
@@ -513,20 +511,40 @@ class TestRunChain:
             assert np.array_equal(out1.M[k], out2.M[k])
 
     def test_state_validity_preserved(self):
+        # every live record holds sorted in-domain knots and, byte for byte,
+        # the column a fresh `basis_values` call gives for them
         data = generate_dataset("modified_heavisine", 32, 3.0, seed=9)
         hyper = Hyperparams((0, 1))
         cfg = ChainConfig(iterations=200, seed=5)
         out = run_chain(data, hyper, cfg)
+        lo, hi = data.domain
         retained = 0
         for i, chain in enumerate(replay_chain(data, hyper, cfg)):
             assert chain.sigma2 == out.sigma2[i] > 0
             for k, atoms in chain.atoms.items():
                 assert len(atoms) == out.J[k][i]
-                for a in atoms:
-                    ks = a.knots.knots
+                for ks, beta, col in atoms:
+                    assert len(ks) == k + 2
                     assert all(u <= v for u, v in zip(ks, ks[1:]))
+                    assert lo <= ks[0] and ks[-1] <= hi
+                    assert col.tobytes() == basis_values(ks, k, chain.x).tobytes()
+                    assert math.isfinite(beta)
             retained += 1
         assert retained == out.retained == 200
+
+    @pytest.mark.parametrize("degrees", [(0,), (0, 1, 2), (0, 2), (1, 2)],
+                             ids=["missing", "extra", "other", "shifted"])
+    def test_state_degrees_must_match_hyper(self, degrees):
+        # a caller's state is read once, when the chain starts: its
+        # components must be exactly the hyperparameters' degrees
+        data = flat_data()
+        rng = np.random.default_rng(24)
+        hyper = Hyperparams((0, 1))
+        atoms = {k: [sample_atom(k, 1.0, data.domain, rng)] for k in degrees}
+        with pytest.raises(ValueError, match="degrees"):
+            Chain(data, hyper, rng, state=make_state(atoms))
+        atoms = {k: [sample_atom(k, 1.0, data.domain, rng)] for k in hyper.degrees}
+        Chain(data, hyper, rng, state=make_state(atoms))
 
     def test_incremental_matches_full_recompute(self):
         data = generate_dataset("blocks", 64, 3.0, seed=10)
@@ -578,16 +596,34 @@ class TestRunChain:
         for curve, want in zip(out.curves, fresh):
             assert curve.tobytes() == want.tobytes()
 
-    def test_prior_only_recovers_prior_means(self):
-        # 3 Monte Carlo standard errors; the chain is long because at 30k
-        # sweeps this seed's means sat 3.2 se below the targets
+    def test_prior_only_keeps_the_prior(self):
+        # `init_state` is an exact prior draw and a correct prior-only kernel
+        # leaves the prior invariant, so after T sweeps each of R independent
+        # chains still holds an exact draw: J_0 ~ NB(a, b/(b+1)) and
+        # M_0 ~ Gamma(a, scale 1/b). Three tests, Bonferroni at ALPHA: a
+        # chi-square of J_0 (tail pooled so every expected count is >= 5), a
+        # z test of its mean with the known variance a/b + a/b^2, and a KS
+        # test of M_0. A death ratio off by +log 2 fails on 9 of 10 disjoint
+        # seed sets, off by -log 2 on all of them.
+        a, b, R, T, ALPHA = 2.0, 1.0, 3200, 50, 1e-3
         data = generate_dataset("blocks", 16, 3.0, seed=11)
-        hyper = Hyperparams((0,), a_gamma=2.0, b_gamma=1.0)
-        cfg = ChainConfig(iterations=240_000, burn_in=5_000, seed=3)
-        out = run_chain(data, hyper, cfg, grid=np.empty(0), prior_only=True)
-        for trace, target in ((out.M[0], 2.0), (out.J[0].astype(float), 2.0)):
-            mean, se = mean_mcse(trace)
-            assert mean == approx(target, abs=3 * se)
+        hyper = Hyperparams((0,), a_gamma=a, b_gamma=b)
+        J, M = np.empty(R, dtype=int), np.empty(R)
+        for seed in range(R):
+            out = run_chain(data, hyper, ChainConfig(T, T - 1, 1, seed=seed),
+                            grid=np.empty(0), prior_only=True)
+            J[seed], M[seed] = out.J[0][-1], out.M[0][-1]
+        nb = st.nbinom(a, b / (b + 1))
+        K = 1  # counts of 0, ..., K - 1 and of J >= K
+        while R * min(nb.pmf(K), nb.sf(K)) >= 5:
+            K += 1
+        observed = np.bincount(np.minimum(J, K), minlength=K + 1)
+        expected = R * np.append(nb.pmf(np.arange(K)), nb.sf(K - 1))
+        z = (J.mean() - nb.mean()) / math.sqrt(nb.var() / R)
+        p_values = [st.chisquare(observed, expected).pvalue,
+                    2 * st.norm.sf(abs(z)),
+                    st.kstest(M, "gamma", args=(a, 0, 1 / b)).pvalue]
+        assert min(p_values) > ALPHA / 3, p_values
 
     def test_counters_consistent(self):
         data = generate_dataset("blocks", 16, 3.0, seed=12)
