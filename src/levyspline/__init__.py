@@ -1,8 +1,7 @@
 """Adaptive B-spline regression with a compound-Poisson atom prior."""
 
-from .bspline import KnotVector, basis_values
+from .bspline import basis_values
 from .model import (
-    Atom,
     Dataset,
     DegenerateDataError,
     DegreeComponent,
@@ -23,8 +22,8 @@ from .signals import eval_test_function, generate_dataset, rsnr_sigma, sample_gr
 from .bench import ExperimentSpec, ExperimentResult, emit_table, mse, run_experiment
 
 __all__ = [
-    "KnotVector", "basis_values",
-    "Atom", "Dataset", "DegenerateDataError", "DegreeComponent", "Hyperparams",
+    "basis_values",
+    "Dataset", "DegenerateDataError", "DegreeComponent", "Hyperparams",
     "ModelState", "init_state", "sample_atom",
     "Chain", "ChainConfig", "ChainOutput", "choose_move", "posterior_curve", "run_chain",
     "eval_test_function", "generate_dataset", "rsnr_sigma", "sample_grid",

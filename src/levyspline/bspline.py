@@ -27,35 +27,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class KnotVector:
-    """Non-descending knot sequence of length degree + 2 for one basis function."""
-
-    degree: int
-    knots: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError(f"degree must be non-negative, got {self.degree}")
-        knots = tuple(map(float, self.knots))
-        if len(knots) != self.degree + 2:
-            raise ValueError(
-                f"degree {self.degree} needs {self.degree + 2} knots, got {len(knots)}"
-            )
-        if not all(map(math.isfinite, knots)):
-            raise ValueError("knots must be finite")
-        if any(a > b for a, b in zip(knots, knots[1:])):
-            raise ValueError(f"knots must be non-descending, got {knots}")
-        object.__setattr__(self, "knots", knots)
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return self.knots[0], self.knots[-1]
 
 
 def basis_values(knots, degree: int, x) -> np.ndarray:

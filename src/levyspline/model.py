@@ -6,6 +6,10 @@ U(domain^(k+2)) is realized as "draw k+2 iid uniforms, sort", whose density
 on the ordered region is (k+2)!/|domain|^(k+2); acceptance ratios only ever
 use prior ratios in which this constant cancels.
 
+An atom is a plain `(knots, beta)` record: a non-descending sequence of
+k + 2 finite knots and a finite coefficient. `ModelState` is the one place
+a record is checked; `sample_atom` draws records that pass by construction.
+
 A function's `rng` is a numpy `Generator` or a chain's `sampler.Draws`,
 which draws through the same `random`, `normal`, `gamma` and `poisson`
 methods.
@@ -18,30 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bspline import KnotVector
-
 
 class DegenerateDataError(ValueError):
     """Raised when y is constant: the coefficient prior scale would be 0."""
 
 
-@dataclass(frozen=True)
-class Atom:
-    """One (degree, knot vector, coefficient) triple in the mean function."""
-
-    knots: KnotVector
-    beta: float
-
-    @property
-    def degree(self) -> int:
-        return self.knots.degree
-
-
 @dataclass
 class DegreeComponent:
-    """All atoms of one degree plus that degree's Poisson rate."""
+    """All `(knots, beta)` records of one degree plus that degree's Poisson rate."""
 
-    atoms: list[Atom]
+    atoms: list[tuple]
     M: float
 
     def __post_init__(self):
@@ -67,14 +57,22 @@ class ModelState:
     phi: float
 
     def __post_init__(self):
+        if not math.isfinite(self.beta0):
+            raise ValueError(f"beta0 must be finite, got {self.beta0}")
         if self.sigma2 <= 0:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
         if self.phi <= 0:
             raise ValueError(f"phi must be positive, got {self.phi}")
         for k, comp in self.components.items():
-            for a in comp.atoms:
-                if a.degree != k:
-                    raise ValueError(f"atom of degree {a.degree} in component of degree {k}")
+            for knots, beta in comp.atoms:
+                if len(knots) != k + 2:
+                    raise ValueError(f"degree {k} needs {k + 2} knots, got {len(knots)}")
+                if not all(map(math.isfinite, knots)):
+                    raise ValueError(f"knots must be finite, got {tuple(knots)}")
+                if any(a > b for a, b in zip(knots, knots[1:])):
+                    raise ValueError(f"knots must be non-descending, got {tuple(knots)}")
+                if not math.isfinite(beta):
+                    raise ValueError(f"beta must be finite, got {beta}")
 
 
 @dataclass(frozen=True)
@@ -144,39 +142,23 @@ class Dataset:
         return len(self.x)
 
 
-def _uniform_span(lo: float, hi: float) -> float:
-    """hi - lo, checked as `Generator.uniform` checks it, with numpy's errors."""
-    span = hi - lo
-    if not math.isfinite(span):
-        raise OverflowError("high - low range exceeds valid bounds")
-    if span < 0:
-        raise ValueError("high - low < 0")
-    return span
+def sample_atom(k: int, phi: float, domain: tuple[float, float],
+                rng) -> tuple[list[float], float]:
+    """Draw one atom `(knots, beta)` from its prior.
 
-
-def draw_atom(k: int, phi: float, domain: tuple[float, float],
-              rng) -> tuple[float, list[float]]:
-    """Draw one atom's prior values: beta ~ N(0, phi^2), knots sorted iid uniforms.
-
-    beta is `rng.normal(0, phi)` and the knots are k + 2 successive
-    `lo + (hi - lo) * rng.random()` draws, sorted: a sorted list of finite
-    values, ready for `basis_values` unvalidated. Given a `Generator`, the
-    knots are `rng.uniform(lo, hi, size=k + 2)`'s doubles.
+    beta ~ N(0, phi^2) is drawn first, as `rng.normal(0, phi)`; the knots
+    are then k + 2 successive `lo + (hi - lo) * rng.random()` draws, sorted.
+    Given a `Generator`, the knots are `rng.uniform(lo, hi, size=k + 2)`'s
+    doubles.
     """
     if phi <= 0:
         raise ValueError("phi must be positive")
     lo, hi = domain
-    if not hi > lo:
-        raise ValueError("domain must be non-degenerate")
+    span = hi - lo
+    if not 0 < span < math.inf:
+        raise ValueError(f"domain width must be finite and positive, got ({lo}, {hi})")
     beta = float(rng.normal(0.0, phi))
-    span = _uniform_span(lo, hi)
-    return beta, sorted([lo + span * rng.random() for _ in range(k + 2)])
-
-
-def sample_atom(k: int, phi: float, domain: tuple[float, float], rng) -> Atom:
-    """Draw one atom from its prior (`draw_atom`'s values, validated)."""
-    beta, knots = draw_atom(k, phi, domain, rng)
-    return Atom(knots=KnotVector(degree=k, knots=knots), beta=beta)
+    return sorted([lo + span * rng.random() for _ in range(k + 2)]), beta
 
 
 def coefficient_scale(data: Dataset) -> float:

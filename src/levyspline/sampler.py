@@ -1,6 +1,7 @@
 """Trans-dimensional sampler: birth/death/relocation moves plus Gibbs updates.
 
-Births are proposed from the prior, so the birth acceptance ratio collapses
+Births are proposed from the prior (`model.sample_atom`, the one prior
+draw of an atom), so the birth acceptance ratio collapses
 to lik-ratio * M_k/(J_k+1) * p_d/p_b, with the forced-birth correction at
 the J_k = 0 boundary (the birth proposal probability there is 1, and so is
 the matching reverse-birth probability inside a death ratio at J_k = 1).
@@ -43,15 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bspline import basis_values
-from .model import (
-    Dataset,
-    Hyperparams,
-    ModelState,
-    draw_atom,
-    init_state,
-    # births call draw_atom; the benchmark tracer's install() wraps this name
-    sample_atom,  # noqa: F401
-)
+from .model import Dataset, Hyperparams, ModelState, init_state, sample_atom
 
 BIRTH, DEATH, RELOCATE = "birth", "death", "relocate"
 _TINY = 1e-300
@@ -182,9 +175,13 @@ class Chain:
 
     `atoms[k]` is the chain's only store of degree k's atoms: a list of
     plain `(knots, beta, col)` records, `knots` a sorted list of k + 2
-    floats and `col` its `basis_values` on the chain's `x`. The validated
-    `ModelState` (from `init_state`, or a caller's `state`) is read once,
-    in `__init__`; moves build no validated object.
+    floats and `col` its `basis_values` on the chain's `x`. `__init__`
+    copies the `(knots, beta)` records of the initial `ModelState` (from
+    `init_state`, or a caller's `state`, which has checked each record) and
+    rejects a state whose degrees differ from the hyperparameters' or with a
+    knot outside the data's domain. From then on no record is checked: a
+    birth appends a `sample_atom` draw and a relocation keeps each knot
+    between its neighbours.
 
     The chain fits its own `x`/`y`: the data's, or none of them when
     `prior_only`. The knot domain is the data's either way, and so are
@@ -209,11 +206,17 @@ class Chain:
         self.phi = state.phi
         # each record's column is filled in by the _rebuild_cache call below
         self.atoms: dict[int, list[tuple[list[float], float, np.ndarray]]] = {
-            k: [(list(a.knots.knots), a.beta, None) for a in comp.atoms]
+            k: [(list(knots), beta, None) for knots, beta in comp.atoms]
             for k, comp in state.components.items()}
         self.M: dict[int, float] = {k: comp.M for k, comp in state.components.items()}
         if set(self.atoms) != set(hyper.degrees):
             raise ValueError("state degrees do not match hyperparameter degrees")
+        lo, hi = self.domain
+        for atoms in self.atoms.values():
+            for knots, _, _ in atoms:
+                if knots[0] < lo or knots[-1] > hi:
+                    raise ValueError(
+                        f"knots {tuple(knots)} lie outside the domain ({lo}, {hi})")
         self.attempts: dict[tuple[str, int], int] = {}
         self.accepts: dict[tuple[str, int], int] = {}
         self._rebuild_cache()
@@ -277,7 +280,7 @@ class Chain:
 
     def birth(self, k: int) -> tuple[bool, float]:
         J = len(self.atoms[k])
-        beta, knots = draw_atom(k, self.phi, self.domain, self.draws)
+        knots, beta = sample_atom(k, self.phi, self.domain, self.draws)
         col = basis_values(knots, k, self.x)
         delta = beta * col
         log_ratio = birth_ratio(self._llr(delta), self.M[k], J, self.hyper)

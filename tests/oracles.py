@@ -4,6 +4,9 @@ Each oracle recomputes from scratch what the sampler computes incrementally
 or in closed form: one basis function at a point, its integral, the mean
 function of a whole state, the Gaussian log-likelihood, an atom's log prior,
 and the birth/death log ratios from two full likelihood evaluations.
+
+Knots are a raw non-descending sequence and an atom a `(knots, beta)`
+record, as in `ModelState`; the degree is `len(knots) - 2`.
 """
 
 import dataclasses
@@ -11,8 +14,8 @@ import math
 
 import numpy as np
 
-from levyspline.bspline import KnotVector, basis_values
-from levyspline.model import Atom, Dataset, DegreeComponent, Hyperparams, ModelState
+from levyspline.bspline import basis_values
+from levyspline.model import Dataset, DegreeComponent, Hyperparams, ModelState
 from levyspline.sampler import birth_ratio, death_ratio
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -24,15 +27,14 @@ def make_state(atoms_by_k, beta0=0.0, sigma2=1.0, M=1.0, phi=1.0) -> ModelState:
     return ModelState(beta0=beta0, components=comps, sigma2=sigma2, phi=phi)
 
 
-def eval_basis(kv: KnotVector, x: float) -> float:
+def eval_basis(knots, x: float) -> float:
     """Evaluate one B-spline basis function at a scalar point."""
-    return float(basis_values(kv.knots, kv.degree, x)[0])
+    return float(basis_values(knots, len(knots) - 2, x)[0])
 
 
-def basis_integral(kv: KnotVector) -> float:
+def basis_integral(knots) -> float:
     """Exact integral of the basis over its support: (xi_last - xi_first)/(k+1)."""
-    lo, hi = kv.support
-    return (hi - lo) / (kv.degree + 1)
+    return (knots[-1] - knots[0]) / (len(knots) - 1)
 
 
 def eval_mean(state: ModelState, x):
@@ -44,8 +46,8 @@ def eval_mean(state: ModelState, x):
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.full(xs.shape, state.beta0, dtype=float)
     for comp in state.components.values():
-        for atom in comp.atoms:
-            out += atom.beta * basis_values(atom.knots.knots, atom.knots.degree, xs)
+        for knots, beta in comp.atoms:
+            out += beta * basis_values(knots, len(knots) - 2, xs)
     return float(out[0]) if scalar else out
 
 
@@ -56,20 +58,20 @@ def log_likelihood(state: ModelState, data: Dataset) -> float:
         - 0.5 * float(resid @ resid) / state.sigma2
 
 
-def atom_log_prior(atom: Atom, phi: float, domain: tuple[float, float]) -> float:
+def atom_log_prior(atom, phi: float, domain: tuple[float, float]) -> float:
     """Log prior density of one atom; -inf when a knot falls outside the domain."""
     lo, hi = domain
-    knots = atom.knots.knots
+    knots, beta = atom
     if knots[0] < lo or knots[-1] > hi:
         return -math.inf
-    k = atom.degree
-    log_beta = -0.5 * LOG_2PI - math.log(phi) - 0.5 * (atom.beta / phi) ** 2
+    k = len(knots) - 2
+    log_beta = -0.5 * LOG_2PI - math.log(phi) - 0.5 * (beta / phi) ** 2
     # ordered-uniform density on the non-descending region
     log_knots = math.lgamma(k + 3) - (k + 2) * math.log(hi - lo)
     return log_beta + log_knots
 
 
-def birth_log_ratio(state: ModelState, k: int, atom: Atom, data: Dataset,
+def birth_log_ratio(state: ModelState, k: int, atom, data: Dataset,
                     hyper: Hyperparams) -> float:
     """`Chain.birth`'s log ratio for appending `atom`, from full likelihoods."""
     comp = state.components[k]
@@ -89,6 +91,6 @@ def death_log_ratio(state: ModelState, k: int, r: int, data: Dataset,
     return death_ratio(llr, comp.M, comp.count, hyper)
 
 
-def _with_atoms(state: ModelState, k: int, atoms: list[Atom]) -> ModelState:
+def _with_atoms(state: ModelState, k: int, atoms: list) -> ModelState:
     comp = dataclasses.replace(state.components[k], atoms=list(atoms))
     return dataclasses.replace(state, components={**state.components, k: comp})

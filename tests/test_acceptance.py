@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
-from levyspline.bspline import KnotVector, basis_values
+from levyspline.bspline import basis_values
 from levyspline.bench import ExperimentSpec, run_experiment
 from levyspline.cli import main, parse_benchmark_spec
 from levyspline.model import Hyperparams, sample_atom
@@ -126,24 +126,23 @@ class TestBasisPropertySuite:
         for case in range(cases):
             k = int(rng.integers(0, 6))
             knots = np.sort(rng.uniform(0.0, 1.0, k + 2))
-            kv = KnotVector(k, tuple(knots))
             xs = rng.uniform(-0.2, 1.2, 24)
-            vals = basis_values(kv.knots, k, xs)
+            vals = basis_values(knots, k, xs)
             # non-negativity and boundedness
             assert (vals >= 0.0).all() and (vals <= 1.0 + 1e-12).all()
             # compact support [first knot, last knot)
             outside = (xs < knots[0]) | (xs >= knots[-1])
             assert (vals[outside] == 0.0).all()
             # integral identity against per-span Gauss-Legendre (1e-6)
-            if case % 20 == 0 and basis_integral(kv) > 1e-8:
+            if case % 20 == 0 and basis_integral(knots) > 1e-8:
                 total = 0.0
                 for a, b in zip(knots[:-1], knots[1:]):
                     if b <= a:
                         continue
                     pts = 0.5 * (b - a) * nodes + 0.5 * (a + b)
                     total += 0.5 * (b - a) * float(
-                        weights @ basis_values(kv.knots, k, pts))
-                assert total == pytest.approx(basis_integral(kv), rel=1e-6)
+                        weights @ basis_values(knots, k, pts))
+                assert total == pytest.approx(basis_integral(knots), rel=1e-6)
                 integrals_checked += 1
         # partition of unity on random strictly increasing grids (1e-10)
         unity_grids = 200
@@ -165,15 +164,14 @@ class TestBasisPropertySuite:
             knots = np.sort(rng.uniform(0.0, 1.0, k + 2))
             while np.min(np.diff(knots)) < 0.1:
                 knots = np.sort(rng.uniform(0.0, 1.0, k + 2))
-            kv = KnotVector(k, tuple(knots))
             for xi in knots[1:-1]:
                 for j in range(1, k):
                     h = 1e-5 if j <= 2 else 1e-3
                     eps = 10 * h
-                    left = _fd(kv, xi - eps, j, h)
-                    right = _fd(kv, xi + eps, j, h)
-                    dj1 = max(abs(_fd(kv, xi - eps, j + 1, h)),
-                              abs(_fd(kv, xi + eps, j + 1, h)))
+                    left = _fd(knots, xi - eps, j, h)
+                    right = _fd(knots, xi + eps, j, h)
+                    dj1 = max(abs(_fd(knots, xi - eps, j + 1, h)),
+                              abs(_fd(knots, xi + eps, j + 1, h)))
                     bound = 2 * (2 * eps * dj1) + 2.0**j * 1e-11 / h**j + 1e-9
                     assert abs(left - right) <= bound
         report(6, True,
@@ -183,12 +181,12 @@ class TestBasisPropertySuite:
                f"{continuity_cases} derivative-continuity cases")
 
 
-def _fd(kv, x, order, h):
+def _fd(knots, x, order, h):
     from math import comb
 
     acc = 0.0
     for m in range(order + 1):
-        acc += (-1) ** m * comb(order, m) * eval_basis(kv, x + (order / 2 - m) * h)
+        acc += (-1) ** m * comb(order, m) * eval_basis(knots, x + (order / 2 - m) * h)
     return acc / h**order
 
 
@@ -230,7 +228,7 @@ class TestSamplerCorrectness:
         atom = sample_atom(0, 1.2, data.domain, rng)
         state = make_state({0: [atom]}, sigma2=0.5, phi=1.2)
         chain = Chain(data, Hyperparams((0,)), rng, state=state)
-        col = basis_values(atom.knots.knots, 0, data.x)
+        col = basis_values(atom[0], 0, data.x)
         v = 1.0 / (float(col @ col) / 0.5 + 1.0 / 1.2**2)
         mu = v * float(data.y @ col) / 0.5
         draws = []

@@ -3,8 +3,9 @@
 `perfbench/tracer.py` wraps functions and `Chain` methods by name and checks
 each chain's `basis_values` count against the count the sampler implies. This
 runs a short traced `fit` in a fresh process, off the data grid and on it,
-so a refactor that renames a bound name or changes how many basis columns a
-move or a recorded curve evaluates fails here.
+so a refactor that renames a bound name, draws an atom other than through
+`sample_atom`, or changes how many basis columns a move or a recorded curve
+evaluates fails here.
 """
 
 import json
@@ -55,4 +56,9 @@ def test_traced_fit_matches_basis_count_identity(tmp_path):
                      "bspline.basis_values"):
             assert spans.where(name), (grid, name)
         assert len(spans.where("sampler.mean_on")) == mean_on_calls, grid
+        # every prior draw of an atom, initial or proposed by a birth, goes
+        # through the `sample_atom` name the tracer wraps
+        initial = sum(spans.notes[i] for i in spans.where("model.init_state"))
+        assert len(spans.where("model.sample_atom")) == \
+            len(spans.where("sampler.birth")) + initial, grid
         assert basis_count_mismatches(spans) == [], grid

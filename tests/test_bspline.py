@@ -5,21 +5,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from pytest import approx
 
-from levyspline.bspline import KnotVector, basis_values
-from levyspline.model import Atom
+from levyspline.bspline import basis_values
+from levyspline.model import Dataset, Hyperparams
+from levyspline.sampler import Chain
 from oracles import basis_integral, eval_basis, eval_mean, make_state
 
 
-def quadrature_integral(kv, order=8):
+def quadrature_integral(knots, order=8):
     """Independent oracle: Gauss-Legendre per knot span (polynomial there)."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
-    t = np.asarray(kv.knots)
+    t = np.asarray(knots)
     total = 0.0
     for a, b in zip(t[:-1], t[1:]):
         if b <= a:
             continue
         xs = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-        total += 0.5 * (b - a) * float(weights @ basis_values(kv.knots, kv.degree, xs))
+        total += 0.5 * (b - a) * float(weights @ basis_values(knots, len(knots) - 2, xs))
     return total
 
 
@@ -82,25 +83,34 @@ def _oracle_cases(seed=2024, repeats=24):
 
 
 def knot_vectors(max_degree=5):
+    """(degree, knots): k + 2 sorted knots in [0, 1] for a degree k."""
     return st.integers(0, max_degree).flatmap(
         lambda k: st.lists(
             st.floats(0.0, 1.0, allow_nan=False), min_size=k + 2, max_size=k + 2
-        ).map(lambda ks: KnotVector(k, tuple(sorted(ks))))
+        ).map(lambda ks: (k, tuple(sorted(ks))))
     )
 
 
 class TestKnotVector:
+    """A knot vector is a raw sequence, checked where it enters a `ModelState`."""
+
     def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            KnotVector(1, (0.0, 1.0))
+        with pytest.raises(ValueError, match="degree 1 needs 3 knots, got 2"):
+            make_state({1: [((0.0, 1.0), 1.0)]})
 
     def test_descending_rejected(self):
-        with pytest.raises(ValueError):
-            KnotVector(0, (1.0, 0.0))
+        with pytest.raises(ValueError, match="knots must be non-descending"):
+            make_state({0: [((1.0, 0.0), 1.0)]})
 
     def test_negative_degree_rejected(self):
-        with pytest.raises(ValueError):
-            KnotVector(-1, ())
+        # a state may key a component -1, but no chain runs it: the
+        # hyperparameters reject the degree and the chain any other degree set
+        with pytest.raises(ValueError, match="non-negative"):
+            Hyperparams((-1,))
+        state = make_state({-1: [((0.5,), 1.0)]})
+        data = Dataset(x=np.array([0.0, 1.0]), y=np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="degrees"):
+            Chain(data, Hyperparams((0,)), np.random.default_rng(0), state=state)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("pos", [0, 1, 2])
@@ -108,42 +118,42 @@ class TestKnotVector:
         knots = [0.0, 0.5, 1.0]
         knots[pos] = bad
         with pytest.raises(ValueError, match="knots must be finite"):
-            KnotVector(1, tuple(knots))
+            make_state({1: [(knots, 1.0)]})
 
     def test_ties_allowed(self):
-        kv = KnotVector(1, (0.0, 0.0, 1.0))
-        assert kv.support == (0.0, 1.0)
+        state = make_state({1: [((0.0, 0.0, 1.0), 1.0)]})
+        assert state.components[1].atoms == [((0.0, 0.0, 1.0), 1.0)]
 
 
 class TestEvalBasis:
     def test_degree0_indicator(self):
-        kv = KnotVector(0, (0.0, 1.0))
-        assert eval_basis(kv, 0.5) == 1.0
+        knots = (0.0, 1.0)
+        assert eval_basis(knots, 0.5) == 1.0
 
     def test_degree0_half_open(self):
-        kv = KnotVector(0, (0.0, 1.0))
-        assert eval_basis(kv, 1.0) == 0.0
-        assert eval_basis(kv, 0.0) == 1.0
+        knots = (0.0, 1.0)
+        assert eval_basis(knots, 1.0) == 0.0
+        assert eval_basis(knots, 0.0) == 1.0
 
     def test_degree1_peak(self):
         # hand expansion: second recursion term (1-x)/0.5 * 1{0.5<=x<1} is 1 at 0.5
-        kv = KnotVector(1, (0.0, 0.5, 1.0))
-        assert eval_basis(kv, 0.5) == approx(1.0)
+        knots = (0.0, 0.5, 1.0)
+        assert eval_basis(knots, 0.5) == approx(1.0)
 
     def test_degree2_uniform(self):
         # symbolic expansion of the uniform quadratic at the midpoint
-        kv = KnotVector(2, (0.0, 1.0, 2.0, 3.0))
-        assert eval_basis(kv, 1.5) == approx(0.75)
+        knots = (0.0, 1.0, 2.0, 3.0)
+        assert eval_basis(knots, 1.5) == approx(0.75)
 
     def test_coincident_knots_give_zero_not_nan(self):
-        kv = KnotVector(2, (0.0, 0.5, 0.5, 1.0))
-        vals = basis_values(kv.knots, 2, np.linspace(0, 1, 101))
+        knots = (0.0, 0.5, 0.5, 1.0)
+        vals = basis_values(knots, 2, np.linspace(0, 1, 101))
         assert np.isfinite(vals).all()
         assert (vals >= 0).all()
 
     def test_fully_coincident_degenerate(self):
-        kv = KnotVector(1, (0.5, 0.5, 0.5))
-        assert eval_basis(kv, 0.5) == 0.0
+        knots = (0.5, 0.5, 0.5)
+        assert eval_basis(knots, 0.5) == 0.0
 
     def test_matches_reference_byte_for_byte(self):
         count = 0
@@ -160,30 +170,31 @@ class TestEvalBasis:
 
 class TestBasisIntegral:
     def test_unit_indicator(self):
-        assert basis_integral(KnotVector(0, (0.0, 1.0))) == approx(1.0)
+        assert basis_integral((0.0, 1.0)) == approx(1.0)
 
     def test_triangle(self):
-        assert basis_integral(KnotVector(1, (0.0, 0.5, 1.0))) == approx(0.5)
+        assert basis_integral((0.0, 0.5, 1.0)) == approx(0.5)
 
     def test_quadratic_against_quadrature(self):
-        kv = KnotVector(2, (0.0, 1.0, 2.0, 3.0))
-        assert basis_integral(kv) == approx(1.0)
-        assert quadrature_integral(kv) == approx(basis_integral(kv), abs=1e-8)
+        knots = (0.0, 1.0, 2.0, 3.0)
+        assert basis_integral(knots) == approx(1.0)
+        assert quadrature_integral(knots) == approx(basis_integral(knots), abs=1e-8)
 
 
 class TestProperties:
     @settings(max_examples=200, deadline=None)
     @given(knot_vectors(), st.floats(-0.5, 1.5, allow_nan=False))
     def test_bounded(self, kv, x):
-        v = eval_basis(kv, x)
+        _, knots = kv
+        v = eval_basis(knots, x)
         assert 0.0 <= v <= 1.0 + 1e-12
 
     @settings(max_examples=200, deadline=None)
     @given(knot_vectors(), st.floats(-0.5, 1.5, allow_nan=False))
     def test_zero_outside_support(self, kv, x):
-        lo, hi = kv.support
-        if x < lo or x >= hi:
-            assert eval_basis(kv, x) == 0.0
+        _, knots = kv
+        if x < knots[0] or x >= knots[-1]:
+            assert eval_basis(knots, x) == 0.0
 
     def test_strictly_positive_inside_distinct_support(self):
         rng = np.random.default_rng(5)
@@ -192,9 +203,8 @@ class TestProperties:
             knots = np.sort(rng.uniform(0, 1, k + 2))
             if np.min(np.diff(knots)) < 1e-3:
                 continue
-            kv = KnotVector(k, tuple(knots))
             xs = rng.uniform(knots[0], knots[-1], 50)
-            vals = basis_values(kv.knots, k, xs)
+            vals = basis_values(knots, k, xs)
             assert (vals > 0).all()
 
     def test_integral_identity_random(self):
@@ -202,11 +212,10 @@ class TestProperties:
         for _ in range(60):
             k = int(rng.integers(0, 6))
             knots = np.sort(rng.uniform(0, 1, k + 2))
-            kv = KnotVector(k, tuple(knots))
-            exact = basis_integral(kv)
+            exact = basis_integral(knots)
             if exact < 1e-6:
                 continue
-            assert quadrature_integral(kv) == approx(exact, rel=1e-6)
+            assert quadrature_integral(knots) == approx(exact, rel=1e-6)
 
     def test_partition_of_unity(self):
         # uniform grid: degree-k windows of k+2 consecutive knots sum to 1
@@ -245,43 +254,42 @@ class TestProperties:
             knots = np.sort(rng.uniform(0, 1, k + 2))
             while np.min(np.diff(knots)) < 0.1:
                 knots = np.sort(rng.uniform(0, 1, k + 2))
-            kv = KnotVector(k, tuple(knots))
             for xi in knots[1:-1]:
                 for j in range(1, k):
                     h = 1e-5 if j <= 2 else 1e-3
                     eps = 10 * h
-                    left = _fd(kv, xi - eps, j, h)
-                    right = _fd(kv, xi + eps, j, h)
-                    dj1 = max(abs(_fd(kv, xi - eps, j + 1, h)),
-                              abs(_fd(kv, xi + eps, j + 1, h)))
+                    left = _fd(knots, xi - eps, j, h)
+                    right = _fd(knots, xi + eps, j, h)
+                    dj1 = max(abs(_fd(knots, xi - eps, j + 1, h)),
+                              abs(_fd(knots, xi + eps, j + 1, h)))
                     bound = 2 * (2 * eps * dj1) + 2.0**j * 1e-11 / h**j + 1e-9
                     assert abs(left - right) <= bound
 
     def test_order_k_difference_jumps_at_knots(self):
         # negative control: the k-th derivative is only piecewise constant,
         # so the same check at order j = k must detect the jump
-        kv = KnotVector(2, (0.0, 0.3, 0.6, 1.0))
+        knots = (0.0, 0.3, 0.6, 1.0)
         h, eps, j = 1e-3, 1e-2, 2
         xi = 0.3
-        left = _fd(kv, xi - eps, j, h)
-        right = _fd(kv, xi + eps, j, h)
-        dj1 = max(abs(_fd(kv, xi - eps, j + 1, h)), abs(_fd(kv, xi + eps, j + 1, h)))
+        left = _fd(knots, xi - eps, j, h)
+        right = _fd(knots, xi + eps, j, h)
+        dj1 = max(abs(_fd(knots, xi - eps, j + 1, h)), abs(_fd(knots, xi + eps, j + 1, h)))
         bound = 2 * (2 * eps * dj1) + 2.0**j * 1e-11 / h**j + 1e-9
         assert abs(left - right) > 10 * bound
 
     def test_degree0_jump_is_discontinuous(self):
-        kv = KnotVector(0, (0.3, 0.7))
-        assert eval_basis(kv, 0.3 - 1e-9) == 0.0
-        assert eval_basis(kv, 0.3) == 1.0
+        knots = (0.3, 0.7)
+        assert eval_basis(knots, 0.3 - 1e-9) == 0.0
+        assert eval_basis(knots, 0.3) == 1.0
 
 
-def _fd(kv, x, order, h):
+def _fd(knots, x, order, h):
     """Central finite difference of the given order."""
     from math import comb
 
     acc = 0.0
     for m in range(order + 1):
-        acc += (-1) ** m * comb(order, m) * eval_basis(kv, x + (order / 2 - m) * h)
+        acc += (-1) ** m * comb(order, m) * eval_basis(knots, x + (order / 2 - m) * h)
     return acc / h**order
 
 
@@ -291,19 +299,19 @@ class TestEvalMean:
         assert eval_mean(state, 0.123) == approx(2.5)
 
     def test_single_indicator(self):
-        state = make_state({0: [Atom(KnotVector(0, (0.0, 1.0)), 3.0)]})
+        state = make_state({0: [((0.0, 1.0), 3.0)]})
         assert eval_mean(state, 0.5) == approx(3.0)
 
     def test_two_atoms(self):
         atoms = {
-            0: [Atom(KnotVector(0, (0.0, 1.0)), 2.0)],
-            1: [Atom(KnotVector(1, (0.0, 0.5, 1.0)), -1.0)],
+            0: [((0.0, 1.0), 2.0)],
+            1: [((0.0, 0.5, 1.0), -1.0)],
         }
         state = make_state(atoms, beta0=1.0)
         assert eval_mean(state, 0.5) == approx(2.0)
 
     def test_vectorized_matches_scalar(self):
-        state = make_state({2: [Atom(KnotVector(2, (0.0, 0.2, 0.6, 1.0)), 1.7)]},
+        state = make_state({2: [((0.0, 0.2, 0.6, 1.0), 1.7)]},
                            beta0=0.3)
         xs = np.linspace(0, 1, 17)
         vec = eval_mean(state, xs)

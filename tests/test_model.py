@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from levyspline.bspline import KnotVector
 from levyspline.model import (
-    Atom,
     Dataset,
     DegenerateDataError,
     DegreeComponent,
     Hyperparams,
     ModelState,
     coefficient_scale,
-    draw_atom,
     init_state,
     sample_atom,
 )
@@ -27,8 +24,8 @@ class TestTypes:
     def test_atom_degree_mismatch_rejected(self):
         # a component's degree is its key: a hat filed under degree 0 would
         # be evaluated as an indicator and share its list with degree-0 births
-        hat = Atom(KnotVector(1, (0.0, 0.5, 1.0)), 1.0)
-        with pytest.raises(ValueError, match="atom of degree 1 in component of degree 0"):
+        hat = ((0.0, 0.5, 1.0), 1.0)
+        with pytest.raises(ValueError, match="degree 0 needs 2 knots, got 3"):
             ModelState(beta0=0.0, components={0: DegreeComponent(atoms=[hat], M=1.0)},
                        sigma2=1.0, phi=1.0)
 
@@ -94,8 +91,8 @@ class TestLogLikelihood:
         ll = 0.0
         for xi, yi in zip(data.x, data.y):
             eta = 0.7
-            for a in atoms:
-                eta += a.beta * eval_basis(a.knots, float(xi))
+            for knots, beta in atoms:
+                eta += beta * eval_basis(knots, float(xi))
             ll += -0.5 * math.log(2 * math.pi * 0.35) - (yi - eta) ** 2 / (2 * 0.35)
         assert log_likelihood(state, data) == approx(ll, rel=1e-10)
 
@@ -109,15 +106,15 @@ class TestLogLikelihood:
 class TestSampleAtom:
     def test_structure(self):
         rng = np.random.default_rng(0)
-        a = sample_atom(0, 1.0, (0.0, 1.0), rng)
-        assert len(a.knots.knots) == 2
-        assert a.knots.knots[0] <= a.knots.knots[1]
-        assert a.degree == 0
+        knots, beta = sample_atom(0, 1.0, (0.0, 1.0), rng)
+        assert len(knots) == 2
+        assert knots[0] <= knots[1]
+        assert isinstance(beta, float)
 
     def test_beta_moments(self):
         rng = np.random.default_rng(1)
         n = 100_000
-        betas = np.array([sample_atom(0, 1.0, (0.0, 1.0), rng).beta
+        betas = np.array([sample_atom(0, 1.0, (0.0, 1.0), rng)[1]
                           for _ in range(n)])
         assert abs(betas.mean()) < 3.0 / math.sqrt(n)
         assert betas.var() == approx(1.0, rel=0.05)
@@ -126,7 +123,7 @@ class TestSampleAtom:
         # order statistics: min of two U(0,1) is Beta(1,2), mean 1/3
         rng = np.random.default_rng(2)
         n = 100_000
-        firsts = np.array([sample_atom(0, 1.0, (0.0, 1.0), rng).knots.knots[0]
+        firsts = np.array([sample_atom(0, 1.0, (0.0, 1.0), rng)[0][0]
                            for _ in range(n)])
         se = math.sqrt(1.0 / 18.0 / n)
         assert firsts.mean() == approx(1.0 / 3.0, abs=3 * se)
@@ -140,14 +137,9 @@ class TestSampleAtom:
 
 
 def _numpy_draw(k, phi, domain, rng):
-    """An atom's prior values drawn through `rng.uniform`, with draw_atom's checks."""
-    if phi <= 0:
-        raise ValueError("phi must be positive")
-    lo, hi = domain
-    if not hi > lo:
-        raise ValueError("domain must be non-degenerate")
+    """An atom `(knots, beta)` drawn through `rng.uniform`, beta first."""
     beta = float(rng.normal(0.0, phi))
-    return beta, sorted(rng.uniform(lo, hi, size=k + 2).tolist())
+    return sorted(rng.uniform(*domain, size=k + 2).tolist()), beta
 
 
 def _bits(values) -> bytes:
@@ -158,7 +150,7 @@ class TestUniformDraws:
     """Knot uniforms are `rng.uniform`'s doubles, drawn from `rng.random`.
 
     numpy computes uniform(lo, hi) as lo + (hi - lo) * random(), which is
-    how `draw_atom` and a chain's relocation draw each knot; if a numpy
+    how `sample_atom` and a chain's relocation draw each knot; if a numpy
     release computes it differently, these fail rather than the chains
     moving silently.
     """
@@ -186,10 +178,10 @@ class TestUniformDraws:
         ours, theirs = np.random.default_rng(50 + k), np.random.default_rng(50 + k)
         betas, knots, want_betas, want_knots = [], [], [], []
         for domain in pairs:
-            beta, kn = draw_atom(k, 0.7, domain, ours)
+            kn, beta = sample_atom(k, 0.7, domain, ours)
             betas.append(beta)
             knots += kn
-            beta, kn = _numpy_draw(k, 0.7, domain, theirs)
+            kn, beta = _numpy_draw(k, 0.7, domain, theirs)
             want_betas.append(beta)
             want_knots += kn
         assert len(knots) >= 10**5
@@ -199,31 +191,33 @@ class TestUniformDraws:
     @pytest.mark.parametrize("lo,hi", [(-1e308, 1e308), (-math.inf, 1.0),
                                        (0.0, math.nan), (1.0, 0.0)])
     def test_range_errors_match_numpy(self, lo, hi):
+        # numpy raises OverflowError or ValueError on these; sample_atom has
+        # one check, a width in (0, inf), and raises ValueError on all four
         for k in range(4):
-            with pytest.raises((OverflowError, ValueError)) as want:
-                _numpy_draw(k, 1.0, (lo, hi), np.random.default_rng(0))
-            with pytest.raises(want.type):
-                draw_atom(k, 1.0, (lo, hi), np.random.default_rng(0))
+            with pytest.raises(ValueError, match="domain width must be finite and positive"):
+                sample_atom(k, 1.0, (lo, hi), np.random.default_rng(0))
 
-    def test_sample_atom_wraps_draw_atom(self):
+    def test_sample_atom_record_passes_model_state(self):
         for k in range(4):
-            beta, knots = draw_atom(k, 1.5, (-0.25, 1.75), np.random.default_rng(60))
-            atom = sample_atom(k, 1.5, (-0.25, 1.75), np.random.default_rng(60))
-            assert atom == Atom(knots=KnotVector(degree=k, knots=knots), beta=beta)
+            rng = np.random.default_rng(60)
+            atoms = [sample_atom(k, 1.5, (-0.25, 1.75), rng) for _ in range(50)]
+            # a born atom's knots go into the chain as drawn; relocation copies a list
+            assert all(isinstance(knots, list) for knots, _ in atoms)
+            make_state({k: atoms})
 
 
 class TestAtomLogPrior:
     def test_standard_normal_at_zero(self):
-        a = Atom(KnotVector(0, (0.2, 0.8)), 0.0)
+        a = ((0.2, 0.8), 0.0)
         expected = -0.5 * LOG_2PI + math.log(2.0)
         assert atom_log_prior(a, 1.0, (0.0, 1.0)) == approx(expected)
 
     def test_outside_domain_is_minus_inf(self):
-        a = Atom(KnotVector(0, (0.2, 1.5)), 0.0)
+        a = ((0.2, 1.5), 0.0)
         assert atom_log_prior(a, 1.0, (0.0, 1.0)) == -math.inf
 
     def test_degree1_closed_form(self):
-        a = Atom(KnotVector(1, (0.1, 0.5, 1.9)), 1.5)
+        a = ((0.1, 0.5, 1.9), 1.5)
         expected = (-math.log(2 * math.sqrt(2 * math.pi)) - 1.5**2 / 8.0
                     + math.log(math.factorial(3) / 2.0**3))
         assert atom_log_prior(a, 2.0, (0.0, 2.0)) == approx(expected)
@@ -238,7 +232,7 @@ class TestAtomLogPrior:
         for i, b in enumerate(betas):
             for j, u in enumerate(us):
                 for l, v in enumerate(vs):
-                    a = Atom(KnotVector(0, (u * v, v)), b)
+                    a = ((u * v, v), b)
                     vals[i, j, l] = math.exp(atom_log_prior(a, 1.0, (0.0, 1.0))) * v
         total = np.trapezoid(np.trapezoid(np.trapezoid(vals, vs), us), betas)
         assert total == approx(1.0, abs=1e-3)
@@ -259,7 +253,7 @@ class TestInitState:
         state = init_state(self._data(), hyper, np.random.default_rng(4))
         assert sorted(state.components) == [0, 2, 3]
         for k, comp in state.components.items():
-            assert all(a.degree == k for a in comp.atoms)
+            assert all(len(knots) == k + 2 for knots, _ in comp.atoms)
             assert comp.count == len(comp.atoms)
 
     def test_deterministic_given_seed(self):

@@ -6,13 +6,8 @@ import pytest
 import scipy.stats as st
 from pytest import approx
 
-from levyspline.bspline import KnotVector, basis_values
-from levyspline.model import (
-    Atom,
-    Dataset,
-    Hyperparams,
-    sample_atom,
-)
+from levyspline.bspline import basis_values
+from levyspline.model import Dataset, Hyperparams, sample_atom
 from levyspline.sampler import (
     BLOCK,
     Chain,
@@ -183,7 +178,7 @@ class TestBirthDeathRatios:
         # beta=0 proposal leaves the fit unchanged: lik-ratio 1; with J=0 the
         # proposal probability is 1, so the ratio is M * p_d = 0.4
         state = make_state({0: []})
-        atom = Atom(KnotVector(0, (0.2, 0.8)), 0.0)
+        atom = ((0.2, 0.8), 0.0)
         lr = birth_log_ratio(state, 0, atom, flat_data(), HYPER0)
         assert lr == approx(math.log(0.4))
 
@@ -191,7 +186,7 @@ class TestBirthDeathRatios:
         # an atom that wipes out a huge residual gives log-ratio >> 0
         data = Dataset(x=np.array([0.5]), y=np.array([100.0]), domain=(0.0, 1.0))
         state = make_state({0: []})
-        atom = Atom(KnotVector(0, (0.0, 1.0)), 100.0)
+        atom = ((0.0, 1.0), 100.0)
         assert birth_log_ratio(state, 0, atom, data, HYPER0) > 0
         chain = Chain(data, HYPER0, np.random.default_rng(0), state=state)
         _, lr = chain.birth(0)
@@ -257,7 +252,7 @@ class TestBirthDeathRatios:
         # atom supported strictly between data points: residuals unchanged
         data = Dataset(x=np.array([0.0, 1.0]), y=np.array([1.0, -1.0]),
                        domain=(0.0, 1.0))
-        atom = Atom(KnotVector(0, (0.4, 0.6)), 7.0)
+        atom = ((0.4, 0.6), 7.0)
         state = make_state({0: [atom]}, M=2.0)
         # J=1: reverse birth is forced, probability 1
         expected = math.log(1) - math.log(2.0) + math.log(1.0) - math.log(0.4)
@@ -266,7 +261,7 @@ class TestBirthDeathRatios:
     def test_death_selects_atoms_uniformly(self):
         # flat data, zero betas, M = J and p_b = p_d: every death accepted
         data = flat_data()
-        atoms = [Atom(KnotVector(0, (0.1 * i, 0.5 + 0.1 * i)), 0.0)
+        atoms = [((0.1 * i, 0.5 + 0.1 * i), 0.0)
                  for i in range(3)]
         counts = np.zeros(3)
         n = 20_000
@@ -276,8 +271,8 @@ class TestBirthDeathRatios:
             accepted, _ = chain.death(0)
             assert accepted
             kept = [tuple(knots) for knots, _, _ in chain.atoms[0]]
-            removed = [i for i, a in enumerate(atoms)
-                       if kept.count(a.knots.knots) == 0][0]
+            removed = [i for i, (knots, _) in enumerate(atoms)
+                       if kept.count(knots) == 0][0]
             counts[removed] += 1
         se = math.sqrt((1 / 3) * (2 / 3) / n)
         for c in counts:
@@ -317,18 +312,18 @@ class TestRelocation:
         data = flat_data(9)
         rng = np.random.default_rng(6)
         hyper = Hyperparams((1,))
-        knots = KnotVector(1, (0.2, 0.5, 0.8))
+        knots = (0.2, 0.5, 0.8)
         for _ in range(50):
-            chain = Chain(data, hyper, rng, state=make_state({1: [Atom(knots, 0.0)]}))
+            chain = Chain(data, hyper, rng, state=make_state({1: [(knots, 0.0)]}))
             assert all(chain.relocate(1))
             # the Gibbs refresh draws a new beta: restart from beta = 0
-            knots = KnotVector(1, chain.atoms[1][0][0])
+            knots = chain.atoms[1][0][0]
 
     def test_prior_only_always_accepts(self):
         data = flat_data(9)
         rng = np.random.default_rng(7)
         hyper = Hyperparams((0,))
-        state = make_state({0: [Atom(KnotVector(0, (0.3, 0.6)), 1.0)]})
+        state = make_state({0: [((0.3, 0.6), 1.0)]})
         chain = Chain(data, hyper, rng, state=state, prior_only=True)
         for _ in range(50):
             assert all(chain.relocate(0))
@@ -343,7 +338,7 @@ class TestRelocation:
         best, best_ll = None, -np.inf
         for i, a in enumerate(grid):
             for b in grid[i + 1:]:
-                state = make_state({0: [Atom(KnotVector(0, (a, b)), 3.0)]},
+                state = make_state({0: [((a, b), 3.0)]},
                                    sigma2=0.01, phi=3.0)
                 ll = log_likelihood(state, data)
                 if ll > best_ll:
@@ -352,7 +347,7 @@ class TestRelocation:
         rng = np.random.default_rng(8)
         hyper = Hyperparams((0,))
         chain = Chain(data, hyper, rng,
-                      state=make_state({0: [Atom(KnotVector(0, (0.1, 0.9)), 3.0)]},
+                      state=make_state({0: [((0.1, 0.9), 3.0)]},
                                        sigma2=0.01, phi=3.0))
         for _ in range(3000):
             chain.relocate(0)
@@ -365,7 +360,7 @@ class TestGibbsBeta:
     def test_no_support_falls_back_to_prior(self):
         data = Dataset(x=np.array([0.0, 1.0]), y=np.array([5.0, -5.0]),
                        domain=(0.0, 1.0))
-        atom = Atom(KnotVector(0, (0.4, 0.6)), 2.0)
+        atom = ((0.4, 0.6), 2.0)
         state = make_state({0: [atom]}, phi=1.5)
         rng = np.random.default_rng(9)
         chain = Chain(data, HYPER0, rng, state=state)
@@ -379,7 +374,7 @@ class TestGibbsBeta:
 
     def test_flat_prior_limit_matches_partial_residual(self):
         data = Dataset(x=np.array([0.5]), y=np.array([2.0]), domain=(0.0, 1.0))
-        atom = Atom(KnotVector(0, (0.0, 1.0)), 0.0)
+        atom = ((0.0, 1.0), 0.0)
         state = make_state({0: [atom]}, sigma2=1.0, phi=1e6)
         rng = np.random.default_rng(10)
         chain = Chain(data, HYPER0, rng, state=state)
@@ -399,9 +394,9 @@ class TestGibbsBeta:
         state = make_state({0: [atom, other]}, sigma2=0.5, beta0=1.0, phi=1.2)
         chain = Chain(data, HYPER0, rng, state=state)
         # analytic conditional computed independently
-        col = basis_values(atom.knots.knots, 0, data.x)
-        col_o = basis_values(other.knots.knots, 0, data.x)
-        partial = data.y - 1.0 - other.beta * col_o
+        col = basis_values(atom[0], 0, data.x)
+        col_o = basis_values(other[0], 0, data.x)
+        partial = data.y - 1.0 - other[1] * col_o
         var = 1.0 / (col @ col / 0.5 + 1.0 / 1.2**2)
         mu = var * float(partial @ col) / 0.5
         draws = []
@@ -545,6 +540,21 @@ class TestRunChain:
             Chain(data, hyper, rng, state=make_state(atoms))
         atoms = {k: [sample_atom(k, 1.0, data.domain, rng)] for k in hyper.degrees}
         Chain(data, hyper, rng, state=make_state(atoms))
+
+    def test_invalid_state_rejected_at_boundary(self):
+        # a knot outside the data's domain, or a non-finite coefficient or
+        # intercept, is rejected before the chain runs; knots on both ends are in
+        data = flat_data()  # domain (0, 1)
+        rng = np.random.default_rng(25)
+        with pytest.raises(ValueError, match="outside the domain"):
+            Chain(data, HYPER0, rng, state=make_state({0: [((-5.0, 0.5), 1.0)]}))
+        with pytest.raises(ValueError, match="beta must be finite"):
+            make_state({0: [((0.2, 0.5), math.nan)]})
+        with pytest.raises(ValueError, match="beta0 must be finite"):
+            make_state({0: [((0.2, 0.5), 1.0)]}, beta0=math.nan)
+        chain = Chain(data, HYPER0, rng, state=make_state({0: [((0.0, 1.0), 1.0)]}))
+        assert chain.atoms[0][0][0] == [0.0, 1.0]
+        assert np.isfinite(chain.fitted).all()
 
     def test_incremental_matches_full_recompute(self):
         data = generate_dataset("blocks", 64, 3.0, seed=10)
