@@ -8,7 +8,9 @@
 # the two runs wrote, including each command's stdout, stderr and exit
 # status. The set:
 #   - simulate blocks n=128, then fit it at degree 0 on a 1024-point grid
-#     with --save-trace and --dump-config;
+#     with --save-trace and --dump-config, and at degrees 0,2 on a
+#     1000-point grid, which ends inside a block of posterior_curve's band
+#     pass (every other grid here is a multiple of its 64 columns);
 #   - simulate modified_heavisine n=512, then fit it at degrees 0-3 on the
 #     data grid with --save-trace;
 #   - a --full-recompute fit at degrees 0-3, so relocation of degree-2 and
@@ -25,7 +27,7 @@
 #     with the same message and status;
 #   - a 1-replicate blocks benchmark (n=16, degree 0) whose spec sets no
 #     chain key or prior, so it runs on the spec defaults.
-# That is 73 files per run, inputs and stdout/stderr/status included.
+# That is 78 files per run, inputs and stdout/stderr/status included.
 # Everything is written under a temporary directory that is removed on exit.
 # Prints each file that differs and exits 1 if any does, 0 otherwise.
 set -eu
@@ -117,6 +119,8 @@ EOF
     run fit_blocks fit blocks.csv --degrees 0 --grid 1024 --iterations 10000 \
         --burn-in 5000 --thin 10 --seed 7 --out-prefix blocks_fit \
         --save-trace --dump-config
+    run fit_offblock fit blocks.csv --degrees 0,2 --grid 1000 --iterations 3000 \
+        --burn-in 1000 --thin 5 --seed 13 --out-prefix offblock_fit
     run sim_mh simulate modified_heavisine --n 512 --rsnr 5 --seed 5 \
         --out mh.csv --truth-out mh_truth.csv
     run fit_mh fit mh.csv --degrees 0,1,2,3 --grid 0 --iterations 4000 \

@@ -35,8 +35,8 @@ class DegreeComponent:
     M: float
 
     def __post_init__(self):
-        if self.M <= 0:
-            raise ValueError("M must be positive")
+        if not _positive(self.M):
+            raise ValueError(f"M must be finite and positive, got {self.M}")
 
     @property
     def count(self) -> int:
@@ -59,10 +59,10 @@ class ModelState:
     def __post_init__(self):
         if not math.isfinite(self.beta0):
             raise ValueError(f"beta0 must be finite, got {self.beta0}")
-        if self.sigma2 <= 0:
-            raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
-        if self.phi <= 0:
-            raise ValueError(f"phi must be positive, got {self.phi}")
+        if not _positive(self.sigma2):
+            raise ValueError(f"sigma2 must be finite and positive, got {self.sigma2}")
+        if not _positive(self.phi):
+            raise ValueError(f"phi must be finite and positive, got {self.phi}")
         for k, comp in self.components.items():
             for knots, beta in comp.atoms:
                 if len(knots) != k + 2:

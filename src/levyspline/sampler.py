@@ -49,6 +49,7 @@ from .model import Dataset, Hyperparams, ModelState, init_state, sample_atom
 BIRTH, DEATH, RELOCATE = "birth", "death", "relocate"
 _TINY = 1e-300
 BLOCK = 1024  # uniforms, and standard normals, drawn per `Generator` call
+_BAND_COLUMNS = 64  # grid points per `np.quantile` call in `posterior_curve`
 _TWO53 = 1 << 53  # a uniform is an integer in [0, 2**53) times 2**-53
 
 
@@ -434,9 +435,20 @@ def run_chain(data: Dataset, hyper: Hyperparams, cfg: ChainConfig,
 
 
 def posterior_curve(out: ChainOutput, levels: tuple[float, float] = (0.025, 0.975)):
-    """Pointwise posterior mean and empirical quantile band of the stored curves."""
+    """Pointwise posterior mean and empirical quantile band of the stored curves.
+
+    Returns `(mean, lower, upper)` with the bits of `out.curves.mean(axis=0)`
+    and of `np.quantile(out.curves, levels, axis=0)`. The band is taken
+    `_BAND_COLUMNS` grid points at a time, so its scratch is retained x
+    `_BAND_COLUMNS` doubles, not a copy of the store; each grid point's
+    quantiles see the same column in the same order, so no bit moves.
+    `out.curves` is not modified.
+    """
     if out.retained == 0:
         raise ValueError("no retained samples")
-    # one transposed copy puts each grid point's samples in a row, partitioned in place
-    lower, upper = np.quantile(out.curves.T.copy(), levels, axis=1, overwrite_input=True)
-    return out.curves.mean(axis=0), lower, upper
+    curves = out.curves
+    band = np.empty((2, curves.shape[1]))
+    for j in range(0, curves.shape[1], _BAND_COLUMNS):
+        cols = slice(j, j + _BAND_COLUMNS)
+        band[:, cols] = np.quantile(curves[:, cols], levels, axis=0)
+    return curves.mean(axis=0), band[0], band[1]

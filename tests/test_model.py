@@ -34,8 +34,17 @@ class TestTypes:
             ModelState(beta0=0.0, components={}, sigma2=0.0, phi=1.0)
 
     def test_nonpositive_phi_rejected(self):
-        with pytest.raises(ValueError, match="phi must be positive"):
+        with pytest.raises(ValueError, match="phi must be finite and positive"):
             ModelState(beta0=0.0, components={}, sigma2=1.0, phi=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["sigma2", "phi", "M"])
+    def test_nonfinite_scalars_rejected(self, name, value):
+        # NaN and inf pass a `<= 0` check, and a `Chain` would run on them
+        scalars = {"sigma2": 1.0, "phi": 1.0, "M": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            ModelState(beta0=0.0, sigma2=scalars["sigma2"], phi=scalars["phi"],
+                       components={0: DegreeComponent(atoms=[], M=scalars["M"])})
 
     def test_hyperparams_move_probs_must_sum_to_one(self):
         with pytest.raises(ValueError):

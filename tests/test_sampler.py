@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -797,6 +798,42 @@ class TestPosteriorCurve:
         want = np.quantile(ties, levels, axis=0)
         assert lo.tobytes() == want[0].tobytes()
         assert hi.tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("levels", [(0.025, 0.975), (0.005, 0.5)],
+                             ids=["default", "skewed"])
+    @pytest.mark.parametrize("retained", [1, 2, 500])
+    @pytest.mark.parametrize("width", [1, 63, 64, 65, 150, 1024])
+    def test_blocked_band_matches_one_quantile_call(self, width, retained, levels):
+        # the band is taken 64 grid points at a time: grids below, on and
+        # across a block edge keep the bits of one `np.quantile` call over the
+        # whole store, the sign of +0.0/-0.0 ties included, and the store is
+        # left as it was
+        rng = np.random.default_rng(1000 * width + retained)
+        smooth = rng.standard_normal((retained, width))
+        ties = rng.choice([-0.0, 0.0, -1.0, 1.0], size=(retained, width),
+                          p=[0.4, 0.4, 0.1, 0.1])
+        for curves in (smooth, ties):
+            before = curves.copy()
+            out = self._out(curves)
+            mean, lo, hi = posterior_curve(out, levels=levels)
+            want = np.quantile(before, levels, axis=0)
+            assert lo.tobytes() == want[0].tobytes()
+            assert hi.tobytes() == want[1].tobytes()
+            assert mean.tobytes() == before.mean(axis=0).tobytes()
+            assert out.curves.tobytes() == before.tobytes()
+
+    def test_band_scratch_is_bounded(self):
+        # a (2500, 1024) store is 20.5 MB; the band pass may add one block of
+        # 2500 x 64 doubles (1.3 MB), not a second copy of the store
+        out = self._out(np.random.default_rng(24).standard_normal((2500, 1024)))
+        posterior_curve(self._out(np.zeros((2, 2))))  # first quantile imports numpy.ma
+        tracemalloc.start()
+        try:
+            posterior_curve(out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_empty_retained_rejected(self):
         out = run_chain(generate_dataset("blocks", 8, 3.0, seed=13),
