@@ -21,13 +21,16 @@
 #   - a fit --config whose file sets every hyperparameter key (r, R,
 #     a_gamma, b_gamma, p_birth, p_death, p_relocate) plus q_lower/q_upper,
 #     with --save-trace and --dump-config;
+#   - a fit --config on the same file whose flags override the keys it
+#     sets (--seed, --iterations, --burn-in, --thin, --degrees, --grid,
+#     --prior-only), with --dump-config;
 #   - a 2-replicate bumps benchmark in json whose spec sets r, R, a_gamma
 #     and b_gamma;
 #   - a benchmark whose spec has burn_in >= iterations, which must fail
 #     with the same message and status;
 #   - a 1-replicate blocks benchmark (n=16, degree 0) whose spec sets no
 #     chain key or prior, so it runs on the spec defaults.
-# That is 78 files per run, inputs and stdout/stderr/status included.
+# That is 84 files per run, inputs and stdout/stderr/status included.
 # Everything is written under a temporary directory that is removed on exit.
 # Prints each file that differs and exits 1 if any does, 0 otherwise.
 set -eu
@@ -82,6 +85,8 @@ iterations = 1500
 burn_in = 500
 thin = 5
 seed = 11
+grid = 0
+prior_only = false
 EOF
     cat >spec_priors.txt <<'EOF'
 function = bumps
@@ -136,6 +141,9 @@ EOF
     run bench_json benchmark spec.txt --format json --out bench.json
     run fit_config fit blocks.csv --config config.txt --out-prefix config_fit \
         --save-trace --dump-config
+    run fit_override fit blocks.csv --config config.txt --seed 21 \
+        --iterations 1200 --burn-in 200 --thin 4 --degrees 0,2 --grid 256 \
+        --prior-only --out-prefix override_fit --dump-config
     run bench_priors benchmark spec_priors.txt --format json --out bench_priors.json
     run bench_bad_chain benchmark spec_bad_chain.txt --out bench_bad_chain.csv
     run bench_defaults benchmark spec_defaults.txt --out bench_defaults.csv

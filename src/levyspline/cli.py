@@ -1,8 +1,10 @@
 """Command-line surface: dataset I/O, fitting, benchmarking, summaries.
 
 Configuration files are flat `key = value` text (one pair per line, `#`
-comments allowed; `degrees` as comma-separated integers). Numeric output
-uses 17 significant digits so every emitted file round-trips exactly.
+comments allowed; `degrees` as comma-separated integers). A `fit` setting
+flag is the config key of its name (`--burn-in 40` is `burn_in = 40`),
+parsed the same way and applied over the file. Numeric output uses 17
+significant digits so every emitted file round-trips exactly.
 """
 
 from __future__ import annotations
@@ -64,11 +66,12 @@ def _numeric_rows(path: str, lines: list[str], width: int, ragged: str):
         yield row
 
 
-def write_dataset(path: str, x, y, header: str = "x,y"):
+def write_csv(path: str, header: str, *columns):
+    """One row per index of the equal-length `columns`, every value via `fmt`."""
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for xi, yi in zip(x, y):
-            fh.write(f"{fmt(xi)},{fmt(yi)}\n")
+        for row in zip(*(np.asarray(c).tolist() for c in columns)):
+            fh.write(",".join(map(fmt, row)) + "\n")
 
 
 # ---- run configuration ----------------------------------------------------
@@ -166,16 +169,17 @@ def _read_key_values(text: str, kinds: dict, what: str) -> dict:
     return values
 
 
-def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
-    return replace(base or RunConfig(), **_read_key_values(text, _CONFIG_KEYS, "config"))
+def parse_config(text: str) -> RunConfig:
+    return RunConfig(**_read_key_values(text, _CONFIG_KEYS, "config"))
 
 
 def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
-    cfg = RunConfig()
+    """The file's values with `overrides` on top, validated once as a whole."""
+    values = {}
     if path is not None:
         with open(path) as fh:
-            cfg = parse_config(fh.read(), cfg)
-    return replace(cfg, **(overrides or {}))
+            values = _read_key_values(fh.read(), _CONFIG_KEYS, "config")
+    return RunConfig(**{**values, **(overrides or {})})
 
 
 # ---- subcommands ----------------------------------------------------------
@@ -185,9 +189,9 @@ def cmd_simulate(args) -> int:
     x = sample_grid(args.n)
     truth = eval_test_function(args.function, x)
     data = generate_dataset(args.function, args.n, args.rsnr, args.seed)
-    write_dataset(args.out, data.x, data.y)
+    write_csv(args.out, "x,y", data.x, data.y)
     truth_path = args.truth_out or _with_suffix(args.out, "_truth")
-    write_dataset(truth_path, x, truth, header="x,f")
+    write_csv(truth_path, "x,f", x, truth)
     print(f"wrote {args.out} and {truth_path}")
     return 0
 
@@ -198,34 +202,35 @@ def _with_suffix(path: str, suffix: str) -> str:
     return path + suffix
 
 
-def _chain_overrides(args) -> dict:
-    overrides = {}
-    for name in ("seed", "iterations", "burn_in", "thin", "grid", "prior_only",
-                 "full_recompute"):
-        v = getattr(args, name, None)
-        if v is not None:
-            overrides[name] = v
-    if getattr(args, "degrees", None) is not None:
-        overrides["degrees"] = _parse_value("degrees", args.degrees, "degrees")
-    return overrides
+# the config keys `fit` also takes as flags (`--burn-in` sets `burn_in`),
+# in `fit --help` order, with their help text
+_FIT_FLAGS = {
+    "seed": None, "iterations": None, "burn_in": None, "thin": None,
+    "degrees": "comma-separated, e.g. 0,1,2",
+    "grid": "curve grid resolution; 0 uses the data grid",
+    "prior_only": "disable the likelihood (prior-recovery mode)",
+    "full_recompute": "recompute the fit from scratch at every likelihood "
+                      "evaluation (verification mode)",
+}
 
 
 def cmd_fit(args) -> int:
+    # a flag's text is parsed as the config line `key = text` would be
+    flags = {key: _parse_value(key, raw, _CONFIG_KEYS[key])
+             for key, raw in vars(args).items() if key in _FIT_FLAGS}
+    cfg = load_config(args.config, flags)
     data = parse_dataset(args.data)
-    cfg = load_config(args.config, _chain_overrides(args))
     grid = data.x if cfg.grid == 0 else np.linspace(data.domain[0], data.domain[1], cfg.grid)
     out = run_chain(data, cfg.hyperparams(), cfg.chain_config(), grid=grid,
                     prior_only=cfg.prior_only, full_recompute=cfg.full_recompute)
     mean, lower, upper = posterior_curve(out, levels=(cfg.q_lower, cfg.q_upper))
     prefix = args.out_prefix
-    with open(prefix + "_curve.csv", "w") as fh:
-        lower_name, upper_name = (f"q{round(1000 * q):03d}" for q in (cfg.q_lower, cfg.q_upper))
-        fh.write(f"x,mean,{lower_name},{upper_name}\n")
-        for row in zip(grid, mean, lower, upper):
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+    lower_name, upper_name = (f"q{round(1000 * q):03d}" for q in (cfg.q_lower, cfg.q_upper))
+    write_csv(prefix + "_curve.csv", f"x,mean,{lower_name},{upper_name}",
+              grid, mean, lower, upper)
     summary = {
         "retained": out.retained,
-        "acceptance_rates": {k: v for k, v in out.acceptance_rates().items()},
+        "acceptance_rates": out.acceptance_rates(),
         "sigma2": _trace_summary(out.sigma2),
         "J": {str(k): _trace_summary(v) for k, v in out.J.items()},
         "M": {str(k): _trace_summary(v) for k, v in out.M.items()},
@@ -278,13 +283,8 @@ def _sd(v: np.ndarray) -> float:
 def _write_trace(path: str, out):
     degrees = sorted(out.J)
     header = ["sample", "sigma2"] + [f"J_{k}" for k in degrees] + [f"M_{k}" for k in degrees]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(out.retained):
-            row = [str(i), fmt(out.sigma2[i])]
-            row += [str(int(out.J[k][i])) for k in degrees]
-            row += [fmt(out.M[k][i]) for k in degrees]
-            fh.write(",".join(row) + "\n")
+    write_csv(path, ",".join(header), range(out.retained), out.sigma2,
+              *(out.J[k] for k in degrees), *(out.M[k] for k in degrees))
 
 
 _SHARED_KEYS = ("degrees", "r", "R", "a_gamma", "b_gamma",
@@ -372,18 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("data")
     fit.add_argument("--config", default=None, help="flat key=value config file")
     fit.add_argument("--out-prefix", required=True)
-    fit.add_argument("--seed", type=int, default=None)
-    fit.add_argument("--iterations", type=int, default=None)
-    fit.add_argument("--burn-in", dest="burn_in", type=int, default=None)
-    fit.add_argument("--thin", type=int, default=None)
-    fit.add_argument("--degrees", default=None, help="comma-separated, e.g. 0,1,2")
-    fit.add_argument("--grid", type=int, default=None,
-                     help="curve grid resolution; 0 uses the data grid")
-    fit.add_argument("--prior-only", action="store_true", default=None,
-                     help="disable the likelihood (prior-recovery mode)")
-    fit.add_argument("--full-recompute", action="store_true", default=None,
-                     help="recompute the fit from scratch at every likelihood "
-                          "evaluation (verification mode)")
+    for key, text in _FIT_FLAGS.items():  # an absent flag leaves its key unset
+        flag = "--" + key.replace("_", "-")
+        if _CONFIG_KEYS[key] is bool:
+            fit.add_argument(flag, action="store_const", const="true",
+                             default=argparse.SUPPRESS, help=text)
+        else:
+            fit.add_argument(flag, default=argparse.SUPPRESS, help=text)
     fit.add_argument("--save-trace", action="store_true")
     fit.add_argument("--dump-config", action="store_true",
                      help="write the resolved configuration next to the outputs")

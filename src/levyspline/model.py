@@ -151,8 +151,8 @@ def sample_atom(k: int, phi: float, domain: tuple[float, float],
     Given a `Generator`, the knots are `rng.uniform(lo, hi, size=k + 2)`'s
     doubles.
     """
-    if phi <= 0:
-        raise ValueError("phi must be positive")
+    if not _positive(phi):
+        raise ValueError(f"phi must be finite and positive, got {phi}")
     lo, hi = domain
     span = hi - lo
     if not 0 < span < math.inf:

@@ -13,7 +13,7 @@ from levyspline.cli import (
     parse_benchmark_spec,
     parse_config,
     parse_dataset,
-    write_dataset,
+    write_csv,
 )
 from levyspline.sampler import ChainConfig, posterior_curve, run_chain
 from levyspline.signals import eval_test_function, sample_grid
@@ -29,7 +29,7 @@ class TestParseDataset:
         path = str(tmp_path / "d.csv")
         x = np.linspace(0, 1, 7)
         y = np.sin(x) * 1e-7 + 1.0 / 3.0
-        write_dataset(path, x, y)
+        write_csv(path, "x,y", x, y)
         data = parse_dataset(path)
         assert np.array_equal(data.x, x)
         assert np.array_equal(data.y, y)
@@ -140,6 +140,16 @@ class TestRunConfig:
         path.write_text("seed = 3\niterations = 2000\nburn_in = 500\n")
         cfg = load_config(str(path), {"seed": 11})
         assert cfg.seed == 11 and cfg.iterations == 2000
+
+    def test_load_config_validates_file_and_overrides_together(self, tmp_path):
+        # the file alone has burn_in (default 25000) >= iterations; the
+        # override makes the whole valid, as the same line in the file would
+        path = tmp_path / "c.txt"
+        path.write_text("iterations = 240\n")
+        cfg = load_config(str(path), {"burn_in": 40})
+        assert (cfg.iterations, cfg.burn_in) == (240, 40)
+        with pytest.raises(ValueError, match="burn_in must be smaller than iterations"):
+            load_config(str(path))
 
 
 class TestBenchmarkSpec:
@@ -390,27 +400,55 @@ class TestFitCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "bad_summary.json").exists()
 
-    def test_degrees_flag_parsed_as_config_line(self, tmp_path, capsys):
-        # `--degrees` and a `degrees =` line go through one parser
+    # each config key `fit` takes as a flag: (key, flag text or None for a
+    # switch, config line text, parsed value); the base run sets none of them
+    _FLAG_CASES = [
+        ("seed", "5", "5", 5),
+        ("iterations", "240", "240", 240),
+        ("burn_in", "40", "40", 40),
+        ("thin", "3", "3", 3),
+        ("degrees", "0,,1", "0,,1,", (0, 1)),
+        ("grid", "64", "64", 64),
+        ("prior_only", None, "true", True),
+        ("full_recompute", None, "true", True),
+    ]
+    _BASE = {"iterations": "200", "burn_in": "50", "seed": "3", "degrees": "0"}
+
+    @staticmethod
+    def _flag(key):
+        return "--" + key.replace("_", "-")
+
+    @pytest.mark.parametrize("key, flag, line, value", _FLAG_CASES,
+                             ids=[c[0] for c in _FLAG_CASES])
+    def test_flag_parsed_as_config_line(self, tmp_path, key, flag, line, value):
+        # `--burn-in 40` and a `burn_in = 40` line go through one parser
         data = self._simulate(tmp_path)
-        config = tmp_path / "deg.txt"
-        config.write_text("degrees = 0,,1,\n")
-        common = ["--iterations", "200", "--burn-in", "50", "--seed", "3", "--dump-config"]
-        for prefix, extra in (("flag", ["--degrees", "0,,1"]),
-                              ("line", ["--config", str(config)])):
+        base = [a for k, raw in self._BASE.items() if k != key for a in (self._flag(k), raw)]
+        config = tmp_path / "line.txt"
+        config.write_text(f"{key} = {line}\n")
+        as_flag = [self._flag(key)] + ([] if flag is None else [flag])
+        for prefix, extra in (("flag", as_flag), ("line", ["--config", str(config)])):
             assert main(["fit", data, "--out-prefix", str(tmp_path / prefix),
-                         *common, *extra]) == 0
-        flag = parse_config((tmp_path / "flag_config.txt").read_text())
-        line = parse_config((tmp_path / "line_config.txt").read_text())
-        assert flag.degrees == line.degrees == (0, 1)
-        for suffix in ("_curve.csv", "_summary.json"):
+                         "--dump-config", *base, *extra]) == 0
+        cfg = parse_config((tmp_path / "flag_config.txt").read_text())
+        assert getattr(cfg, key) == value
+        for suffix in ("_curve.csv", "_summary.json", "_config.txt"):
             assert ((tmp_path / f"flag{suffix}").read_bytes()
                     == (tmp_path / f"line{suffix}").read_bytes())
-        capsys.readouterr()
-        assert main(["fit", data, "--out-prefix", str(tmp_path / "bad"),
-                     "--degrees", "a"]) == 1
-        assert ("config field 'degrees': cannot parse value 'a'"
-                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("key", [c[0] for c in _FLAG_CASES if c[1] is not None])
+    def test_malformed_flag_exits_1_as_config_line(self, tmp_path, capsys, key):
+        # rejected with the config line's message before the dataset is
+        # read (it does not exist here), so nothing is written
+        config = tmp_path / "bad.txt"
+        config.write_text(f"{key} = abc\n")
+        for extra in ([self._flag(key), "abc"], ["--config", str(config)]):
+            rc = main(["fit", str(tmp_path / "none.csv"), "--out-prefix",
+                       str(tmp_path / "bad"), *extra])
+            assert rc == 1
+            assert capsys.readouterr().err == (
+                f"error: config field {key!r}: cannot parse value 'abc'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt"]
 
     def test_dump_config_round_trips(self, tmp_path):
         data = self._simulate(tmp_path)

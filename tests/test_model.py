@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -143,6 +144,13 @@ class TestSampleAtom:
             sample_atom(0, 0.0, (0.0, 1.0), rng)
         with pytest.raises(ValueError):
             sample_atom(0, 1.0, (1.0, 1.0), rng)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, 0.0, -1.0])
+    def test_phi_must_be_finite_and_positive(self, phi):
+        # a NaN or infinite scale would draw a non-finite beta
+        with pytest.raises(ValueError, match=re.escape(
+                f"phi must be finite and positive, got {phi}")):
+            sample_atom(1, phi, (0.0, 1.0), np.random.default_rng(0))
 
 
 def _numpy_draw(k, phi, domain, rng):
