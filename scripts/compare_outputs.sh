@@ -29,8 +29,13 @@
 #   - a benchmark whose spec has burn_in >= iterations, which must fail
 #     with the same message and status;
 #   - a 1-replicate blocks benchmark (n=16, degree 0) whose spec sets no
-#     chain key or prior, so it runs on the spec defaults.
-# That is 84 files per run, inputs and stdout/stderr/status included.
+#     chain key or prior, so it runs on the spec defaults;
+#   - a fit that retains a single curve, with --save-trace, so every band
+#     and trace quantile sits at or above the last sample index;
+#   - a fit --config whose file sets q_lower = 0.005 and q_upper = 0.5 on a
+#     300-point grid (not a multiple of 64), so the band's interpolation
+#     weights reach 0.5 and above.
+# That is 96 files per run, inputs and stdout/stderr/status included.
 # Everything is written under a temporary directory that is removed on exit.
 # Prints each file that differs and exits 1 if any does, 0 otherwise.
 set -eu
@@ -119,6 +124,16 @@ rsnr = 3
 replicates = 1
 degrees = 0
 EOF
+    cat >config_skew.txt <<'EOF'
+degrees = 0,2
+q_lower = 0.005
+q_upper = 0.5
+iterations = 3000
+burn_in = 1000
+thin = 10
+seed = 17
+grid = 300
+EOF
     run sim_blocks simulate blocks --n 128 --rsnr 3 --seed 5 \
         --out blocks.csv --truth-out blocks_truth.csv
     run fit_blocks fit blocks.csv --degrees 0 --grid 1024 --iterations 10000 \
@@ -147,6 +162,9 @@ EOF
     run bench_priors benchmark spec_priors.txt --format json --out bench_priors.json
     run bench_bad_chain benchmark spec_bad_chain.txt --out bench_bad_chain.csv
     run bench_defaults benchmark spec_defaults.txt --out bench_defaults.csv
+    run fit_single fit blocks.csv --degrees 0,1 --grid 200 --iterations 110 \
+        --burn-in 100 --thin 10 --seed 19 --out-prefix single_fit --save-trace
+    run fit_skew fit blocks.csv --config config_skew.txt --out-prefix skew_fit
     cd - >/dev/null
 }
 

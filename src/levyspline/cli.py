@@ -19,7 +19,7 @@ import numpy as np
 
 from .bench import ExperimentSpec, emit_table, run_experiment
 from .model import Dataset, DegenerateDataError, Hyperparams
-from .sampler import ChainConfig, posterior_curve, run_chain
+from .sampler import ChainConfig, _quantiles, posterior_curve, run_chain
 from .signals import TEST_FUNCTIONS, eval_test_function, generate_dataset, sample_grid
 
 
@@ -255,11 +255,12 @@ def cmd_fit(args) -> int:
 
 def _trace_summary(values) -> dict:
     v = np.asarray(values, dtype=float)
+    # one call per level, as `np.quantile(v, q)`: the kth set decides ±0 ties
     return {
         "mean": float(v.mean()),
         "sd": _sd(v),
-        "q025": float(np.quantile(v, 0.025)),
-        "q975": float(np.quantile(v, 0.975)),
+        "q025": float(_quantiles(v[:, None], (0.025,))[0, 0]),
+        "q975": float(_quantiles(v[:, None], (0.975,))[0, 0]),
     }
 
 

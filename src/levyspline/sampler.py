@@ -49,7 +49,7 @@ from .model import Dataset, Hyperparams, ModelState, init_state, sample_atom
 BIRTH, DEATH, RELOCATE = "birth", "death", "relocate"
 _TINY = 1e-300
 BLOCK = 1024  # uniforms, and standard normals, drawn per `Generator` call
-_BAND_COLUMNS = 64  # grid points per `np.quantile` call in `posterior_curve`
+_BAND_COLUMNS = 64  # grid points per `_quantiles` call in `posterior_curve`
 _TWO53 = 1 << 53  # a uniform is an integer in [0, 2**53) times 2**-53
 
 
@@ -434,15 +434,42 @@ def run_chain(data: Dataset, hyper: Hyperparams, cfg: ChainConfig,
     )
 
 
+def _quantiles(a: np.ndarray, levels) -> np.ndarray:
+    """`np.quantile(a, levels, axis=0)` for a 2-D array and float levels, bit for bit.
+
+    numpy's linear method step for step, without its `np.unique`, which
+    imports numpy.ma: the same virtual indexes and bounds, one partition of
+    a C-contiguous copy with numpy's own kth set (another set moves where
+    +0.0/-0.0 ties land), numpy's `_lerp` with its `t >= 0.5` branch, and
+    a column holding a NaN reads NaN.
+    """
+    n = len(a)
+    virtual = [(n - 1) * q for q in levels]
+    prev = [math.floor(v) if v < n - 1 else -1 for v in virtual]
+    nxt = [i + 1 if i >= 0 else -1 for i in prev]
+    t = np.array([[v - i] for v, i in zip(virtual, prev)])
+    arr = np.array(a, dtype=float, order="C")
+    arr.partition(sorted({0, -1, *prev, *nxt}), axis=0)
+    lo, hi = arr[prev], arr[nxt]
+    diff = hi - lo
+    res = lo + diff * t
+    np.subtract(hi, diff * (1 - t), out=res, where=t >= 0.5)
+    nan = np.isnan(arr[-1])
+    if nan.any():
+        np.copyto(res, arr[-1], where=nan)
+    return res
+
+
 def posterior_curve(out: ChainOutput, levels: tuple[float, float] = (0.025, 0.975)):
     """Pointwise posterior mean and empirical quantile band of the stored curves.
 
     Returns `(mean, lower, upper)` with the bits of `out.curves.mean(axis=0)`
     and of `np.quantile(out.curves, levels, axis=0)`. The band is taken
-    `_BAND_COLUMNS` grid points at a time, so its scratch is retained x
-    `_BAND_COLUMNS` doubles, not a copy of the store; each grid point's
-    quantiles see the same column in the same order, so no bit moves.
-    `out.curves` is not modified.
+    by `_quantiles`, `_BAND_COLUMNS` grid points at a time, so its scratch is
+    retained x `_BAND_COLUMNS` doubles, not a copy of the store, and each
+    block's is freed before the next is copied; each grid point's quantiles
+    see the same column in the same order, so no bit moves. `out.curves` is
+    not modified.
     """
     if out.retained == 0:
         raise ValueError("no retained samples")
@@ -450,5 +477,5 @@ def posterior_curve(out: ChainOutput, levels: tuple[float, float] = (0.025, 0.97
     band = np.empty((2, curves.shape[1]))
     for j in range(0, curves.shape[1], _BAND_COLUMNS):
         cols = slice(j, j + _BAND_COLUMNS)
-        band[:, cols] = np.quantile(curves[:, cols], levels, axis=0)
+        band[:, cols] = _quantiles(curves[:, cols], levels)
     return curves.mean(axis=0), band[0], band[1]

@@ -1,5 +1,9 @@
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from pytest import approx
 
 from levyspline.cli import (
     RunConfig,
+    _trace_summary,
     fmt,
     load_config,
     main,
@@ -15,7 +20,7 @@ from levyspline.cli import (
     parse_dataset,
     write_csv,
 )
-from levyspline.sampler import ChainConfig, posterior_curve, run_chain
+from levyspline.sampler import ChainConfig, _quantiles, posterior_curve, run_chain
 from levyspline.signals import eval_test_function, sample_grid
 
 
@@ -572,3 +577,69 @@ class TestSummarizeCommand:
         captured = capsys.readouterr()
         assert captured.err == f"error: {trace}: line 3: non-finite value\n"
         assert captured.out == ""
+
+
+class TestTraceSummary:
+    @staticmethod
+    def _traces(n):
+        rng = np.random.default_rng(n)
+        yield rng.standard_normal(n)
+        yield rng.integers(0, 6, size=n).astype(float)  # a J_k trace
+        for seed in range(20):  # +0.0/-0.0 ties
+            yield np.random.default_rng(seed).choice(
+                [-0.0, 0.0, -1.0, 1.0], size=n, p=[0.4, 0.4, 0.1, 0.1])
+
+    @staticmethod
+    def _same(got, want):
+        assert got.hex() == want.hex() and np.signbit(got) == np.signbit(want)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 500])
+    def test_quantiles_have_the_bits_of_np_quantile(self, n):
+        # each summary quantile is its own `np.quantile` call: the sign of a
+        # +0.0/-0.0 tie depends on which order statistics the partition
+        # pins, so one call for both levels could flip it
+        for v in self._traces(n):
+            summary = _trace_summary(v)
+            self._same(summary["q025"], float(np.quantile(v, 0.025)))
+            self._same(summary["q975"], float(np.quantile(v, 0.975)))
+            for q in (0.0, 0.025, 0.5, 0.975, 1.0):
+                self._same(float(_quantiles(v[:, None], (q,))[0, 0]),
+                           float(np.quantile(v, q)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 500])
+    def test_nan_reads_nan(self, n):
+        v = next(self._traces(n))
+        v[n // 2] = np.nan
+        for q in (0.0, 0.025, 0.5, 0.975, 1.0):
+            got = float(_quantiles(v[:, None], (q,))[0, 0])
+            assert np.isnan(got)
+            self._same(got, float(np.quantile(v, q)))
+
+
+def test_no_command_imports_numpy_ma(tmp_path):
+    # a quantile through `np.quantile` imports numpy.ma (via `np.unique`),
+    # which costs every process time and memory that no output needs
+    script = """
+import sys
+from levyspline.cli import main
+
+out = sys.argv[1]
+assert main(["simulate", "blocks", "--n", "32", "--seed", "1",
+             "--out", out + "/data.csv"]) == 0
+assert main(["fit", out + "/data.csv", "--out-prefix", out + "/fit",
+             "--iterations", "300", "--burn-in", "100", "--degrees", "0,1",
+             "--grid", "97", "--seed", "2", "--save-trace"]) == 0
+assert main(["summarize", out + "/fit_trace.csv", "--out", out + "/s.json"]) == 0
+assert main(["benchmark", out + "/spec.txt", "--out", out + "/bench.csv"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+    (tmp_path / "spec.txt").write_text(
+        "function = blocks\nn = 16\nrsnr = 3\nreplicates = 2\ndegrees = 0\n"
+        "iterations = 200\nburn_in = 50\nthin = 2\n")
+    root = pathlib.Path(__file__).resolve().parent.parent
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

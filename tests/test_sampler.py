@@ -826,7 +826,6 @@ class TestPosteriorCurve:
         # a (2500, 1024) store is 20.5 MB; the band pass may add one block of
         # 2500 x 64 doubles (1.3 MB), not a second copy of the store
         out = self._out(np.random.default_rng(24).standard_normal((2500, 1024)))
-        posterior_curve(self._out(np.zeros((2, 2))))  # first quantile imports numpy.ma
         tracemalloc.start()
         try:
             posterior_curve(out)
@@ -834,6 +833,20 @@ class TestPosteriorCurve:
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
+
+    @pytest.mark.parametrize("retained", [1, 2, 7, 500])
+    def test_nan_column_reads_nan(self, retained):
+        # a grid point whose curves hold a NaN gets a NaN band, as from
+        # `np.quantile`; the other grid points keep their bits
+        rng = np.random.default_rng(25)
+        curves = rng.choice([-0.0, 0.0, -1.0, 1.0], size=(retained, 130))
+        curves[rng.integers(retained), [3, 64, 129]] = np.nan
+        for levels in ((0.025, 0.975), (0.0, 1.0), (0.005, 0.5)):
+            _, lo, hi = posterior_curve(self._out(curves), levels=levels)
+            want = np.quantile(curves, levels, axis=0)
+            assert np.isnan(lo[[3, 64, 129]]).all() and np.isnan(hi[[3, 64, 129]]).all()
+            assert lo.tobytes() == want[0].tobytes()
+            assert hi.tobytes() == want[1].tobytes()
 
     def test_empty_retained_rejected(self):
         out = run_chain(generate_dataset("blocks", 8, 3.0, seed=13),
