@@ -14,6 +14,8 @@ process). Every chain gives one value per statistic:
   - mse: the posterior-mean curve's MSE against the noiseless truth on the
     data grid;
   - J_k: the posterior mean of the atom count J_k, for every degree k;
+  - M_k: the posterior mean of the Poisson rate M_k, for every degree k
+    (J_k alone barely moves when the M_k draw is wrong);
   - sigma2: the posterior mean of sigma^2;
   - f(x): the posterior-mean curve at x = 0.25, 0.5 and 0.75.
 
@@ -81,6 +83,7 @@ def chain_statistics(src: str) -> dict[str, dict[str, list[float]]]:
             values = {"mse": mse(truth, mean[: data.n]),
                       "sigma2": float(chain.sigma2.mean())}
             values.update((f"J_{k}", float(chain.J[k].mean())) for k in wl["degrees"])
+            values.update((f"M_{k}", float(chain.M[k].mean())) for k in wl["degrees"])
             values.update((f"f({x})", float(v)) for x, v in zip(POINTS, mean[data.n:]))
             for key, v in values.items():
                 stats.setdefault(key, []).append(v)

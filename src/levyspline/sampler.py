@@ -27,13 +27,19 @@ A chain draws every random number through its `Draws`, which wraps the
 `Generator` the chain receives. A sweep makes only a handful of scalar
 draws, and one scalar `Generator` call costs tens of times as much as
 popping a float from a list, so `Draws` fills blocks of `BLOCK` uniforms
-(`Generator.random`) and `BLOCK` standard normals
-(`Generator.standard_normal`) and hands them out one at a time, in block
-order. A normal is `loc + scale * z`, numpy's own formula; an atom index is
-exactly uniform, by rejection on the 53-bit integer behind a uniform. Gamma
-and Poisson draws go straight to the `Generator`, in call order. A chain is
-fixed by its seed, but it is not the chain that one `Generator` call per
-draw would give on that seed.
+(`Generator.random`), `BLOCK` standard normals (`Generator.standard_normal`)
+and, for each gamma shape it is asked for, `GAMMA_BLOCK` standard gammas
+(`Generator.standard_gamma`), and hands them out one at a time, in block
+order. A normal is `loc + scale * z` and a gamma `scale * g`, numpy's own
+formulas; an atom index is exactly uniform, by rejection on the 53-bit
+integer behind a uniform. Poisson draws, made only by `init_state` and each
+with its own rate, go straight to the `Generator`. A chain is fixed by its
+seed, but it is not the chain that one `Generator` call per draw would give
+on that seed.
+
+`run_chain` seeds its `Generator` from the first child of the seed's
+`SeedSequence`; `signals.generate_dataset` draws a dataset's noise from the
+root, so data and chain on one seed share no random stream.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from .model import Dataset, Hyperparams, ModelState, init_state, sample_atom
 BIRTH, DEATH, RELOCATE = "birth", "death", "relocate"
 _TINY = 1e-300
 BLOCK = 1024  # uniforms, and standard normals, drawn per `Generator` call
+GAMMA_BLOCK = 16  # standard gammas drawn per `Generator` call, one block per shape
 _BAND_COLUMNS = 64  # grid points per `_quantiles` call in `posterior_curve`
 _TWO53 = 1 << 53  # a uniform is an integer in [0, 2**53) times 2**-53
 
@@ -115,7 +122,10 @@ class Draws:
 
     Uniforms and standard normals come out in the order of
     `rng.random(BLOCK)` and `rng.standard_normal(BLOCK)`, block after block,
-    as Python floats; gamma and Poisson draws are the Generator's own.
+    as Python floats. Each gamma shape has its own blocks of
+    `rng.standard_gamma(shape, GAMMA_BLOCK)`, so memory grows with the
+    number of distinct shapes: a_gamma + J_k for each J_k seen, r/2 and
+    (r + n)/2. Poisson draws are the Generator's own.
     """
 
     def __init__(self, rng: np.random.Generator):
@@ -123,6 +133,7 @@ class Draws:
         # each block is stored reversed, so pop() hands out its first value first
         self._u: list[float] = []
         self._z: list[float] = []
+        self._g: dict[float, list[float]] = {}
 
     def random(self) -> float:
         try:
@@ -152,7 +163,11 @@ class Draws:
                 return m % J
 
     def gamma(self, shape: float, scale: float) -> float:
-        return self.rng.gamma(shape, scale)
+        block = self._g.get(shape)
+        if not block:
+            block = self.rng.standard_gamma(shape, GAMMA_BLOCK)[::-1].tolist()
+            self._g[shape] = block
+        return scale * block.pop()
 
     def poisson(self, lam: float) -> int:
         return self.rng.poisson(lam)
@@ -347,7 +362,7 @@ class Chain:
     def gibbs_M(self, k: int):
         a = self.hyper.a_gamma + len(self.atoms[k])
         b = self.hyper.b_gamma + 1.0
-        self.M[k] = max(float(self.draws.gamma(a, 1.0 / b)), _TINY)
+        self.M[k] = max(self.draws.gamma(a, 1.0 / b), _TINY)
 
     def gibbs_sigma2(self):
         r, R = self.hyper.r, self.hyper.R
@@ -401,9 +416,10 @@ def run_chain(data: Dataset, hyper: Hyperparams, cfg: ChainConfig,
     """Run the full sampler: init from the prior, sweep, retain thinned samples.
 
     Curves are recorded on `grid` (the data's `x` by default); an empty
-    `grid` records none.
+    `grid` records none. The chain draws from the first child of
+    `cfg.seed`'s `SeedSequence`, not from `generate_dataset`'s stream.
     """
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     chain = Chain(data, hyper, rng, prior_only=prior_only,
                   full_recompute=full_recompute)
     if grid is None:

@@ -11,6 +11,7 @@ from levyspline.bspline import basis_values
 from levyspline.model import Dataset, Hyperparams, sample_atom
 from levyspline.sampler import (
     BLOCK,
+    GAMMA_BLOCK,
     Chain,
     ChainConfig,
     ChainOutput,
@@ -54,17 +55,22 @@ class BlockStub:
 
 
 class CountingGenerator:
-    """The `Generator` methods a chain calls, counting each kind of call."""
+    """The `Generator` methods a chain calls, recording each call's arguments."""
 
     def __init__(self, rng):
         self.rng = rng
-        self.calls = dict.fromkeys(("random", "standard_normal", "gamma", "poisson"), 0)
+        self.args = {name: [] for name in
+                     ("random", "standard_normal", "standard_gamma", "gamma", "poisson")}
+
+    @property
+    def calls(self):
+        return {name: len(args) for name, args in self.args.items()}
 
     def __getattr__(self, name):
         method = getattr(self.rng, name)
 
         def counted(*args):
-            self.calls[name] += 1
+            self.args[name].append(args)
             return method(*args)
         return counted
 
@@ -93,7 +99,16 @@ class TestDraws:
         u, z = draws.random(), draws.normal(0.0, 1.0)
         rng = np.random.default_rng(72)
         assert u == rng.random(BLOCK)[0] and z == rng.standard_normal(BLOCK)[0]
-        assert draws.gamma(2.0, 1.0) == rng.gamma(2.0, 1.0)
+        # two shapes, interleaved so that each refills twice; a gamma is
+        # `scale * g`, numpy's own formula
+        shapes, scales = (2.0, 0.005), (1.0, 0.3, 7.0)
+        calls = [(shapes[i % 2], scales[i % 3]) for i in range(4 * GAMMA_BLOCK + 6)]
+        got = [draws.gamma(shape, scale) for shape, scale in calls]
+        blocks = [rng.standard_gamma(shape, GAMMA_BLOCK) for _ in range(3) for shape in shapes]
+        g = {shape: np.concatenate(blocks[i::2]) for i, shape in enumerate(shapes)}
+        want = [scale * g[shape][i // 2] for i, (shape, scale) in enumerate(calls)]
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
         assert draws.poisson(3.0) == rng.poisson(3.0)
 
     def test_index_is_the_integer_behind_a_uniform(self):
@@ -141,15 +156,37 @@ class TestDraws:
 
         monkeypatch.setattr(np.random, "default_rng", counting_rng)
         a, b = run_chain(data, hyper, cfg), run_chain(data, hyper, cfg)
-        assert len(gens) == 2 and gens[0].calls == gens[1].calls
+        assert len(gens) == 2 and gens[0].args == gens[1].args
         # the first block and at least three refills of each kind
         assert gens[0].calls["random"] >= 4 and gens[0].calls["standard_normal"] >= 4
+        # at least one gamma shape drew a second block; no scalar gamma call
+        shapes = [shape for shape, _ in gens[0].args["standard_gamma"]]
+        assert len(shapes) > len(set(shapes)) and gens[0].calls["gamma"] == 0
         assert a.curves.tobytes() == b.curves.tobytes()
         assert a.sigma2.tobytes() == b.sigma2.tobytes()
         for k in hyper.degrees:
             assert a.J[k].tobytes() == b.J[k].tobytes()
             assert a.M[k].tobytes() == b.M[k].tobytes()
         assert (a.attempts, a.accepts) == (b.attempts, b.accepts)
+
+    def test_run_chain_draws_from_a_child_of_its_seed(self, monkeypatch):
+        # `generate_dataset` makes noise from default_rng(seed); the chain on
+        # the same seed must not start from those bits
+        seed = 78
+        data = generate_dataset("blocks", 16, 3.0, seed=seed)
+        starts, default_rng = [], np.random.default_rng
+
+        def recording_rng(seed):
+            rng = default_rng(seed)
+            starts.append(rng.bit_generator.state)
+            return rng
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        run_chain(data, HYPER0, ChainConfig(iterations=1, seed=seed))
+        child = np.random.SeedSequence(seed).spawn(1)[0]
+        assert len(starts) == 1
+        assert starts[0] != default_rng(seed).bit_generator.state
+        assert starts[0] == default_rng(child).bit_generator.state
 
 
 class TestChooseMove:
@@ -603,7 +640,7 @@ class TestRunChain:
         out = run_chain(data, hyper, cfg, **mode)
         fresh = [chain.mean_on(data.x) for chain in replay_chain(data, hyper, cfg, **mode)]
         assert len(fresh) == len(out.curves) == 100
-        assert sum(out.J[k][-1] for k in hyper.degrees) > 0
+        assert sum(out.J[k].sum() for k in hyper.degrees) > 0
         for curve, want in zip(out.curves, fresh):
             assert curve.tobytes() == want.tobytes()
 
@@ -707,7 +744,8 @@ def replay_chain(data, hyper, cfg, **mode):
     It is seeded and swept as `run_chain` does; recording a sample draws no
     random numbers, so the two chains stay in step.
     """
-    chain = Chain(data, hyper, np.random.default_rng(cfg.seed), **mode)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
+    chain = Chain(data, hyper, rng, **mode)
     for it in range(cfg.iterations):
         chain.sweep()
         if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thin == cfg.thin - 1:
