@@ -12,8 +12,7 @@ import csv
 import io
 import json
 import math
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,7 +43,6 @@ class ExperimentSpec:
 class ExperimentResult:
     spec: ExperimentSpec
     mses: list[float]
-    seconds_per_replicate: list[float] = field(default_factory=list)
 
     @property
     def mean(self) -> float:
@@ -79,9 +77,7 @@ def run_experiment(spec: ExperimentSpec, progress=None) -> ExperimentResult:
     """Run all replicates sequentially (deterministic by construction)."""
     result = ExperimentResult(spec=spec, mses=[])
     for i in range(spec.replicates):
-        t0 = time.perf_counter()
         result.mses.append(run_replicate(spec, i))
-        result.seconds_per_replicate.append(time.perf_counter() - t0)
         if progress is not None:
             progress(i, result.mses[-1])
     return result

@@ -1,0 +1,18 @@
+"""Fixtures shared by the test modules."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.fixture
+def full_scale_runner():
+    """A fresh import of scripts/run_full_scale.py (scripts/ is not a package)."""
+    spec = importlib.util.spec_from_file_location(
+        "run_full_scale", SCRIPTS / "run_full_scale.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
