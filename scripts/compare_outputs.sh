@@ -37,15 +37,22 @@
 #     weights reach 0.5 and above.
 # That is 96 files per run, inputs and stdout/stderr/status included.
 # Everything is written under a temporary directory that is removed on exit.
-# Prints each file that differs and exits 1 if any does, 0 otherwise.
+# Prints each file that differs and exits 1 if any does, 0 otherwise. Exits
+# 2 if both arguments resolve to the same directory, or if a run imports a
+# `levyspline` from outside its own source tree (it prints the file each run
+# imported).
 set -eu
 
 if [ $# -ne 2 ]; then
     echo "usage: $0 PARENT_SRC CHANGE_SRC" >&2
     exit 2
 fi
-parent_src=$(cd "$1" && pwd)
-change_src=$(cd "$2" && pwd)
+parent_src=$(cd "$1" && pwd -P)
+change_src=$(cd "$2" && pwd -P)
+if [ "$parent_src" = "$change_src" ]; then
+    echo "error: PARENT_SRC and CHANGE_SRC are both $parent_src" >&2
+    exit 2
+fi
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 
@@ -63,6 +70,13 @@ run_set() {
     src=$1
     mkdir -p "$2"
     cd "$2"
+    loaded=$(PYTHONPATH="$src" python3 -c \
+        'import os, levyspline; print(os.path.realpath(levyspline.__file__))') || true
+    echo "$src: imported ${loaded:-no levyspline}" >&2
+    case $loaded in
+        "$src"/*) ;;
+        *) echo "error: that is not under $src" >&2; exit 2 ;;
+    esac
     cat >spec.txt <<'EOF'
 function = heavisine
 n = 128

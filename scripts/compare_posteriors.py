@@ -16,6 +16,11 @@ process). Every chain gives one value per statistic:
   - J_k: the posterior mean of the atom count J_k, for every degree k;
   - M_k: the posterior mean of the Poisson rate M_k, for every degree k
     (J_k alone barely moves when the M_k draw is wrong);
+  - dM_k: the chain's mean of M_k - (a_gamma + J_k) / (b_gamma + 1), the
+    draw minus its full-conditional mean given the J_k it was drawn on, for
+    every degree k. It is exactly 0 in expectation under a correct M_k draw
+    and barely varies within a chain, so it catches a wrong M_k draw that
+    E[M_k], which follows the slowly mixing J_k, cannot;
   - sigma2: the posterior mean of sigma^2;
   - f(x): the posterior-mean curve at x = 0.25, 0.5 and 0.75.
 
@@ -84,6 +89,9 @@ def chain_statistics(src: str) -> dict[str, dict[str, list[float]]]:
                       "sigma2": float(chain.sigma2.mean())}
             values.update((f"J_{k}", float(chain.J[k].mean())) for k in wl["degrees"])
             values.update((f"M_{k}", float(chain.M[k].mean())) for k in wl["degrees"])
+            values.update((f"dM_{k}", float(np.mean(
+                chain.M[k] - (hyper.a_gamma + chain.J[k]) / (hyper.b_gamma + 1.0))))
+                for k in wl["degrees"])
             values.update((f"f({x})", float(v)) for x, v in zip(POINTS, mean[data.n:]))
             for key, v in values.items():
                 stats.setdefault(key, []).append(v)

@@ -124,5 +124,8 @@ def emit_table(results: list[ExperimentResult], format: str = "csv") -> str:
             writer.writerow(row)
         return buf.getvalue()
     if format == "json":
-        return json.dumps(rows, indent=2, sort_keys=False) + "\n"
+        # a non-finite number (rsnr = inf) is not JSON: write the CSV's text
+        rows = [{key: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+                 for key, v in row.items()} for row in rows]
+        return json.dumps(rows, indent=2, allow_nan=False) + "\n"
     raise ValueError(f"unknown format {format!r}")

@@ -11,70 +11,52 @@ with the domain maximum therefore evaluates to 0 exactly at that point.
 
 `basis_values` runs each level of the triangle as one 2-D numpy expression:
 at the sampler's sizes the cost is the number of numpy calls, not the
-arithmetic. The fast pass multiplies every weight by its child basis
-unmasked. Where a child is 0 the product is 0 unless the weight is inf or
-nan (0/0 from coincident knots, overflow from subnormal spans or from |x|
-near the float limit), and such a product spreads to the result through
-every later level. So a result with a finite sum is exactly the masked one,
-bit for bit; otherwise the triangle is recomputed from the same weights
-with each term masked to 0 where its child basis is 0. The recompute is a
-private helper, not a second `basis_values` call, so one evaluated column
-is one call: the benchmark's tracer checks each chain's call count against
-the count its moves imply.
+arithmetic. It is one pass with every non-finite weight set to 0, and that
+is exact, bit for bit, against a triangle that masks each term to 0 where
+its child basis is 0:
+  - A weight is finite wherever its child basis is nonzero: there x lies in
+    the child's support, so |x - t| is at most the child's span, which is
+    nonzero and finite (knots lie in the data's finite domain). A weight
+    that is inf or nan (0/0 from coincident knots, overflow from subnormal
+    spans or from |x| near the float limit) therefore multiplies a child of
+    +0, and setting it to 0 gives the masked term's +0.
+  - A finite weight times a +0 child is +0 or -0. A row's sum is -0 only
+    if both of its weights are negative or -0, which needs x < t[i] and
+    x >= t[i+d+1] at once, so no -0 reaches the result.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
 
-def basis_values(knots, degree: int, x) -> np.ndarray:
+def basis_values(knots, degree: int, x: np.ndarray) -> np.ndarray:
     """Vectorized Cox-de Boor triangle on one knot vector.
 
-    `knots` is a non-descending sequence of length degree + 2; `x` is an
-    array of evaluation points. Returns B_degree(x; knots) in the shape of
-    `x` (shape (1,) for a scalar).
+    `knots` is a non-descending sequence of length degree + 2; `x` is a 1-d
+    float array of evaluation points. Returns B_degree(x; knots) in the
+    shape of `x`.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     if degree == 0:
         lo, hi = float(knots[0]), float(knots[1])
         return ((lo <= x) & (x < hi)).astype(float)
     t = np.asarray(knots, dtype=float)
-    X = x.reshape(-1) - t[:, None]
+    X = x - t[:, None]
     S = X >= 0.0
-    b0 = (S[:-1] > S[1:]).astype(float)
+    b = (S[:-1] > S[1:]).astype(float)
     num, hi = _weight_rows(degree)
+    W = X[num]
     with np.errstate(all="ignore"):
-        W = X[num]
         W /= (t[hi] - t[num])[:, None]
-        b = _triangle(b0, W, degree, masked=False)
-        if not math.isfinite(b.sum()):
-            b = _triangle(b0, W, degree, masked=True)
-    return b[0].reshape(x.shape)
-
-
-def _triangle(b, W, degree: int, masked: bool) -> np.ndarray:
-    """Levels 1..degree of the Cox-de Boor triangle, one 2-D expression each.
-
-    `b` is the degree-0 layer (row i: the indicator of [t[i], t[i+1])) and
-    `W` every level's weights, rows as `_weight_rows` orders them. Row i of
-    level d is W[left i] * B_{i,d-1} + W[right i] * B_{i+1,d-1}. With
-    `masked`, a term whose child basis is 0 is 0 even when its weight is inf
-    or nan.
-    """
+    W[~np.isfinite(W)] = 0.0
+    # level d's row i is W[left i] * B_{i,d-1} + W[right i] * B_{i+1,d-1}
     o = 0
     for m in range(degree, 0, -1):
-        left = W[o:o + m] * b[:m]
-        right = W[o + m:o + 2 * m] * b[1:]
-        if masked:
-            left = np.where(b[:m] != 0.0, left, 0.0)
-            right = np.where(b[1:] != 0.0, right, 0.0)
-        b = left + right
+        b = W[o:o + m] * b[:m] + W[o + m:o + 2 * m] * b[1:]
         o += 2 * m
-    return b
+    return b[0]
 
 
 @functools.cache

@@ -3,7 +3,8 @@
 Each oracle recomputes from scratch what the sampler computes incrementally
 or in closed form: one basis function at a point, its integral, the mean
 function of a whole state, the Gaussian log-likelihood, an atom's log prior,
-and the birth/death log ratios from two full likelihood evaluations.
+and the birth/death log ratios from two full likelihood evaluations. The
+basis's central finite differences serve the smoothness checks.
 
 Knots are a raw non-descending sequence and an atom a `(knots, beta)`
 record, as in `ModelState`; the degree is `len(knots) - 2`.
@@ -29,7 +30,15 @@ def make_state(atoms_by_k, beta0=0.0, sigma2=1.0, M=1.0, phi=1.0) -> ModelState:
 
 def eval_basis(knots, x: float) -> float:
     """Evaluate one B-spline basis function at a scalar point."""
-    return float(basis_values(knots, len(knots) - 2, x)[0])
+    return float(basis_values(knots, len(knots) - 2, np.array([x], dtype=float))[0])
+
+
+def finite_difference(knots, x: float, order: int, h: float) -> float:
+    """Central finite difference of the given order of one basis function at x."""
+    acc = 0.0
+    for m in range(order + 1):
+        acc += (-1) ** m * math.comb(order, m) * eval_basis(knots, x + (order / 2 - m) * h)
+    return acc / h**order
 
 
 def basis_integral(knots) -> float:

@@ -28,7 +28,7 @@ from oracles import (
     basis_integral,
     birth_log_ratio,
     death_log_ratio,
-    eval_basis,
+    finite_difference,
     make_state,
 )
 
@@ -174,10 +174,10 @@ class TestBasisPropertySuite:
                 for j in range(1, k):
                     h = 1e-5 if j <= 2 else 1e-3
                     eps = 10 * h
-                    left = _fd(knots, xi - eps, j, h)
-                    right = _fd(knots, xi + eps, j, h)
-                    dj1 = max(abs(_fd(knots, xi - eps, j + 1, h)),
-                              abs(_fd(knots, xi + eps, j + 1, h)))
+                    left = finite_difference(knots, xi - eps, j, h)
+                    right = finite_difference(knots, xi + eps, j, h)
+                    dj1 = max(abs(finite_difference(knots, xi - eps, j + 1, h)),
+                              abs(finite_difference(knots, xi + eps, j + 1, h)))
                     bound = 2 * (2 * eps * dj1) + 2.0**j * 1e-11 / h**j + 1e-9
                     assert abs(left - right) <= bound
         report(6, True,
@@ -185,15 +185,6 @@ class TestBasisPropertySuite:
                f"support), {integrals_checked} integral identities at 1e-6, "
                f"{unity_grids} partition-of-unity grids at 1e-10, "
                f"{continuity_cases} derivative-continuity cases")
-
-
-def _fd(knots, x, order, h):
-    from math import comb
-
-    acc = 0.0
-    for m in range(order + 1):
-        acc += (-1) ** m * comb(order, m) * eval_basis(knots, x + (order / 2 - m) * h)
-    return acc / h**order
 
 
 class TestSamplerCorrectness:

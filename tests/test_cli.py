@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import pathlib
@@ -509,6 +510,24 @@ class TestBenchmarkCommand:
         assert main(["benchmark", str(spec), "--out", out, "--format", "json"]) == 0
         rows = json.loads(open(out).read())
         assert len(rows) == 1 and rows[0]["function"] == "blocks"
+
+    def test_noiseless_json_is_strict(self, tmp_path):
+        # rsnr = inf is written as the text its CSV row carries, not the
+        # `Infinity` token that strict JSON parsers reject
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        spec = tmp_path / "spec.txt"
+        spec.write_text(
+            "function = blocks\nn = 16\nrsnr = inf\nreplicates = 2\ndegrees = 0\n"
+            "iterations = 200\nburn_in = 50\nthin = 2\n")
+        out_json, out_csv = tmp_path / "t.json", tmp_path / "t.csv"
+        assert main(["benchmark", str(spec), "--out", str(out_json), "--format", "json"]) == 0
+        assert main(["benchmark", str(spec), "--out", str(out_csv)]) == 0
+        rows = json.loads(out_json.read_text(), parse_constant=reject)
+        csv_row = next(csv.DictReader(out_csv.read_text().splitlines()))
+        assert rows[0]["rsnr"] == csv_row["rsnr"] == "inf"
+        assert rows[0]["mean_mse"] == float(csv_row["mean_mse"])
 
     def test_nan_rsnr_named(self, tmp_path, capsys):
         spec = tmp_path / "spec.txt"
