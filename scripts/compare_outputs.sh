@@ -14,8 +14,10 @@
 #   - simulate modified_heavisine n=512, then fit it at degrees 0-3 on the
 #     data grid with --save-trace;
 #   - a --full-recompute fit at degrees 0-3, so relocation of degree-2 and
-#     degree-3 atoms runs under full recompute too, and two --prior-only
-#     fits (one on the data grid);
+#     degree-3 atoms runs under full recompute too, a --full-recompute fit
+#     at degrees 0,2 on a 1000-point grid with --save-trace, so its curves go
+#     through mean_on, and a --full-recompute --prior-only fit;
+#   - two --prior-only fits (one on the data grid);
 #   - summarize on the modified_heavisine trace;
 #   - a 3-replicate heavisine benchmark in csv (with --verbose) and in json;
 #   - a fit --config whose file sets every hyperparameter key (r, R,
@@ -35,7 +37,7 @@
 #   - a fit --config whose file sets q_lower = 0.005 and q_upper = 0.5 on a
 #     300-point grid (not a multiple of 64), so the band's interpolation
 #     weights reach 0.5 and above.
-# That is 96 files per run, inputs and stdout/stderr/status included.
+# That is 107 files per run, inputs and stdout/stderr/status included.
 # Everything is written under a temporary directory that is removed on exit.
 # Prints each file that differs and exits 1 if any does, 0 otherwise. Exits
 # 2 if both arguments resolve to the same directory, or if a run imports a
@@ -161,6 +163,11 @@ EOF
         --burn-in 2000 --thin 10 --seed 7 --out-prefix mh_fit --save-trace
     run fit_full fit blocks.csv --degrees 0,1,2,3 --iterations 500 --burn-in 100 \
         --thin 2 --seed 3 --full-recompute --out-prefix full_fit
+    run fit_full_grid fit blocks.csv --degrees 0,2 --grid 1000 --iterations 1500 \
+        --burn-in 500 --thin 5 --seed 23 --full-recompute --out-prefix full_grid_fit \
+        --save-trace
+    run fit_full_prior fit blocks.csv --degrees 0,1 --iterations 1000 --burn-in 200 \
+        --thin 4 --seed 29 --full-recompute --prior-only --out-prefix full_prior_fit
     run fit_prior fit blocks.csv --degrees 0,1 --iterations 2000 --burn-in 500 \
         --thin 5 --seed 9 --prior-only --out-prefix prior_fit
     run fit_prior_data fit blocks.csv --degrees 0,2 --grid 0 --iterations 2000 \

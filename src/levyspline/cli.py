@@ -331,6 +331,9 @@ def cmd_summarize(args) -> int:
     if not lines:
         raise ValueError(f"{args.trace}: empty trace file")
     header = lines[0].split(",")
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise ValueError(f"{args.trace}: repeated column {name!r}")
     rows = list(_numeric_rows(args.trace, lines, len(header), "ragged row"))
     if not rows:
         raise ValueError(f"{args.trace}: no samples")

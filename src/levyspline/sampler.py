@@ -13,11 +13,11 @@ from its Normal full conditional.
 `Chain` is the only move kernel and `birth_ratio`/`death_ratio` the only
 acceptance-ratio code. Every likelihood ratio is computed incrementally from
 the basis columns cached in the chain's atom records and the residual
-`y - fitted`. Most proposals are rejected, so the `fitted` setter computes
+`y - fitted`. Most proposals are rejected, so the `fitted` setter stores
 the residual and its sum of squares once for every read until the next
 write. A prior-only chain is the same chain fitted to no observations; a
-full-recompute chain rebuilds every column from its record's knots before
-each residual read.
+full-recompute chain differs only in that setter, which rebuilds every
+column from its record's knots at each write and takes their sum as the fit.
 
 `run_chain` records a data-grid curve by summing the cached columns
 (`Chain.cached_mean`), which has `mean_on`'s bits; any other grid goes
@@ -220,7 +220,7 @@ class Chain:
         self.beta0 = state.beta0
         self.sigma2 = state.sigma2
         self.phi = state.phi
-        # each record's column is filled in by the _rebuild_cache call below
+        # each record's column is filled in by the _rebuild_columns call below
         self.atoms: dict[int, list[tuple[list[float], float, np.ndarray]]] = {
             k: [(list(knots), beta, None) for knots, beta in comp.atoms]
             for k, comp in state.components.items()}
@@ -235,16 +235,16 @@ class Chain:
                         f"knots {tuple(knots)} lie outside the domain ({lo}, {hi})")
         self.attempts: dict[tuple[str, int], int] = {}
         self.accepts: dict[tuple[str, int], int] = {}
-        self._rebuild_cache()
+        self._rebuild_columns()
+        self.fitted = self.cached_mean()
 
     # ---- caches -----------------------------------------------------------
 
-    def _rebuild_cache(self):
+    def _rebuild_columns(self):
         # in place: a relocation in progress holds its degree's list
         for k, atoms in self.atoms.items():
             atoms[:] = [(knots, beta, basis_values(knots, k, self.x))
                         for knots, beta, _ in atoms]
-        self.fitted = self.cached_mean()
 
     @property
     def fitted(self) -> np.ndarray:
@@ -252,9 +252,13 @@ class Chain:
 
     @fitted.setter
     def fitted(self, value: np.ndarray):
+        # records are written before the fit, so full recompute re-sums them
+        if self.full_recompute:
+            self._rebuild_columns()
+            value = self.cached_mean()
         self._fitted = value
-        resid = self.y - value
-        self._resid_rss = resid, _rss(resid)
+        self.resid = self.y - value
+        self.rss = _rss(self.resid)
 
     def cached_mean(self) -> np.ndarray:
         """The mean on the chain's `x`, summed from the cached columns.
@@ -270,16 +274,9 @@ class Chain:
                 out += beta * col
         return out
 
-    def _resid(self) -> tuple[np.ndarray, float]:
-        """(y - fitted, its sum of squares), rebuilt first by a full-recompute chain."""
-        if self.full_recompute:
-            self._rebuild_cache()
-        return self._resid_rss
-
     def _llr(self, delta: np.ndarray) -> float:
         """Log-likelihood ratio of adding `delta` to the fitted values."""
-        resid, rss = self._resid()
-        return -(_rss(resid - delta) - rss) / (2.0 * self.sigma2)
+        return -(_rss(self.resid - delta) - self.rss) / (2.0 * self.sigma2)
 
     def _accept(self, log_ratio: float) -> bool:
         return math.log(self.draws.random() + _TINY) < log_ratio
@@ -340,7 +337,7 @@ class Chain:
             accepted = self._accept(self._llr(delta))
             if accepted:
                 knots, col = candidate, new_col
-                # written on every accepted knot: a full-recompute rebuild reads it
+                # written before the fit: a full-recompute rebuild reads it
                 atoms[r] = (knots, beta, col)
                 self.fitted = self.fitted + delta
             flags.append(accepted)
@@ -350,14 +347,13 @@ class Chain:
     # ---- Gibbs updates ----------------------------------------------------
 
     def gibbs_beta(self, k: int, idx: int):
-        resid, _ = self._resid()
         knots, beta, col = self.atoms[k][idx]
         var = 1.0 / (float(col @ col) / self.sigma2 + 1.0 / self.phi**2)
-        partial = resid + beta * col
+        partial = self.resid + beta * col
         mean = var * float(partial @ col) / self.sigma2
         new_beta = self.draws.normal(mean, math.sqrt(var))
-        self.fitted = self.fitted + (new_beta - beta) * col
         self.atoms[k][idx] = (knots, new_beta, col)
+        self.fitted = self.fitted + (new_beta - beta) * col
 
     def gibbs_M(self, k: int):
         a = self.hyper.a_gamma + len(self.atoms[k])
@@ -367,7 +363,7 @@ class Chain:
     def gibbs_sigma2(self):
         r, R = self.hyper.r, self.hyper.R
         r0 = r + len(self.y)
-        R0 = (self._resid()[1] + r * R) / r0
+        R0 = (self.rss + r * R) / r0
         g = self.draws.gamma(r0 / 2.0, 2.0 / max(r0 * R0, _TINY))
         self.sigma2 = 1.0 / max(g, _TINY)
 

@@ -575,6 +575,15 @@ class TestSummarizeCommand:
         assert main(["summarize", str(trace)]) == 1
         assert "ragged" in capsys.readouterr().err
 
+    def test_repeated_column_rejected(self, tmp_path, capsys):
+        # a summary keyed by column name would keep only the last `a`
+        trace = tmp_path / "t.csv"
+        trace.write_text("a,a\n1.0,2.0\n3.0,4.0\n")
+        assert main(["summarize", str(trace)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {trace}: repeated column 'a'\n"
+        assert captured.out == ""
+
     def test_header_only_trace_rejected(self, tmp_path, capsys):
         trace = tmp_path / "t.csv"
         trace.write_text("sample,sigma2,J_0,M_0\n")

@@ -485,13 +485,6 @@ class TestGibbsM:
         # Ga(8, rate 2): mean 4, variance 2
         assert draws.mean() == approx(4.0, abs=3 * math.sqrt(2.0 / n))
 
-    def test_posterior_mean_shift_per_atom(self):
-        # Gamma mean (a + J)/(b + 1) grows by exactly 1/(b+1) per atom
-        a, b = 2.0, 3.0
-        means = [(a + J) / (b + 1) for J in range(5)]
-        diffs = np.diff(means)
-        assert diffs == approx(np.full(4, 1 / (b + 1)))
-
 
 class TestGibbsSigma2:
     def test_zero_residual_conjugate(self):
@@ -692,23 +685,28 @@ class TestRunChain:
 
 
 class TestResidualCache:
-    def test_cached_residual_matches_fresh(self):
+    @pytest.mark.parametrize("mode", [{}, {"full_recompute": True}],
+                             ids=["incremental", "full_recompute"])
+    def test_cached_residual_matches_fresh(self, mode):
         # before and after every move and Gibbs step, and before each
         # proposal's likelihood ratio, the residual and RSS the chain would
         # read are those of its current `fitted`, bit for bit: each write to
-        # `fitted` (accepted birth, death or relocation, gibbs_beta, a cache
-        # rebuild) recomputes the pair
+        # `fitted` (accepted birth, death or relocation, gibbs_beta, a
+        # rebuild) recomputes the pair. A full-recompute chain's `fitted` is
+        # also its current records evaluated afresh, which holds only if
+        # every move writes its record before its fit
         data = generate_dataset("modified_heavisine", 64, 5.0, seed=18)
         hyper = Hyperparams((0, 1, 2, 3))
-        chain = Chain(data, hyper, np.random.default_rng(19))
+        chain = Chain(data, hyper, np.random.default_rng(19), **mode)
         calls = dict.fromkeys(("birth", "death", "relocate", "gibbs_beta",
                                "gibbs_M", "gibbs_sigma2", "_llr"), 0)
 
         def check():
-            resid, rss = chain._resid()
             fresh = chain.y - chain.fitted
-            assert resid.tobytes() == fresh.tobytes()
-            assert np.float64(rss).tobytes() == np.float64(fresh @ fresh).tobytes()
+            assert chain.resid.tobytes() == fresh.tobytes()
+            assert np.float64(chain.rss).tobytes() == np.float64(fresh @ fresh).tobytes()
+            if mode.get("full_recompute"):
+                assert chain.fitted.tobytes() == chain.mean_on(chain.x).tobytes()
 
         def checked(name, step):
             def run(*args):
@@ -726,16 +724,18 @@ class TestResidualCache:
             chain.sweep()
             if sweep % 50 == 49:
                 before = chain.fitted.tobytes()
-                chain._rebuild_cache()
+                chain._rebuild_columns()
+                chain.fitted = chain.cached_mean()
                 rebuilt += chain.fitted.tobytes() != before
                 check()
         assert all(calls.values())
         assert calls["gibbs_beta"] == calls["relocate"]  # one draw after each relocation
         for kind in ("birth", "death", "relocate"):
             assert sum(v for (m, _), v in chain.accepts.items() if m == kind) > 0
-        # a rebuild moved the fitted values in the last bits, so a stale
-        # pair after a rebuild would have been caught
-        assert rebuilt > 0
+        # a rebuild moved an incremental fit in the last bits, so a stale
+        # pair after a rebuild would have been caught; a full-recompute fit
+        # is already the rebuilt one
+        assert (rebuilt > 0) == (not mode)
 
 
 def replay_chain(data, hyper, cfg, **mode):
