@@ -11,13 +11,18 @@ bare likelihood ratio; the relocated atom's coefficient is then re-drawn
 from its Normal full conditional.
 
 `Chain` is the only move kernel and `birth_ratio`/`death_ratio` the only
-acceptance-ratio code. Every likelihood ratio is computed incrementally from
-the basis columns cached in the chain's atom records and the residual
-`y - fitted`. Most proposals are rejected, so the `fitted` setter stores
-the residual and its sum of squares once for every read until the next
-write. A prior-only chain is the same chain fitted to no observations; a
-full-recompute chain differs only in that setter, which rebuilds every
-column from its record's knots at each write and takes their sum as the fit.
+acceptance-ratio code. Every likelihood ratio is `Chain._llr`: adding
+`beta * c` to the fit changes the log-likelihood by
+`beta * (r·c - beta * c·c / 2) / sigma^2`, with r the residual. A death
+reads c and c·c from its atom's record, a birth computes c·c with its
+column, and a relocation passes the new column minus the old. Most
+proposals are rejected, and a ratio writes nothing. The residual is the
+chain's only fit state: `Chain._write`, the one place it changes, takes an
+accepted move's delta off it and recomputes its sum of squares. A
+prior-only chain is the same chain fitted to no observations; a
+full-recompute chain differs only in `_write`, which rebuilds every column
+and c·c from its record's knots at each write and takes the residual
+afresh from their sum.
 
 `run_chain` records a data-grid curve by summing the cached columns
 (`Chain.cached_mean`), which has `mean_on`'s bits; any other grid goes
@@ -64,8 +69,8 @@ def _log(x: float) -> float:
     return math.log(x) if x > 0 else -math.inf
 
 
-def _rss(resid: np.ndarray) -> float:
-    return float(resid @ resid)
+def _sumsq(v: np.ndarray) -> float:
+    return float(v @ v)
 
 
 @dataclass(frozen=True)
@@ -187,17 +192,18 @@ def choose_move(hyper: Hyperparams, J_k: int, rng: Draws | np.random.Generator) 
 
 
 class Chain:
-    """Mutable sampler state with cached basis columns and fitted values.
+    """Mutable sampler state with cached basis columns and the residual.
 
     `atoms[k]` is the chain's only store of degree k's atoms: a list of
-    plain `(knots, beta, col)` records, `knots` a sorted list of k + 2
-    floats and `col` its `basis_values` on the chain's `x`. `__init__`
-    copies the `(knots, beta)` records of the initial `ModelState` (from
-    `init_state`, or a caller's `state`, which has checked each record) and
-    rejects a state whose degrees differ from the hyperparameters' or with a
-    knot outside the data's domain. From then on no record is checked: a
-    birth appends a `sample_atom` draw and a relocation keeps each knot
-    between its neighbours.
+    plain `(knots, beta, col, cc)` records, `knots` a sorted list of k + 2
+    floats, `col` its `basis_values` on the chain's `x` and `cc` the float
+    `col @ col`. `resid` is `y` minus the fit and `rss` its `resid @ resid`.
+    `__init__` copies the `(knots, beta)` records of the initial
+    `ModelState` (from `init_state`, or a caller's `state`, which has checked
+    each record) and rejects a state whose degrees differ from the
+    hyperparameters' or with a knot outside the data's domain. From then on
+    no record is checked: a birth appends a `sample_atom` draw and a
+    relocation keeps each knot between its neighbours.
 
     The chain fits its own `x`/`y`: the data's, or none of them when
     `prior_only`. The knot domain is the data's either way, and so are
@@ -220,63 +226,68 @@ class Chain:
         self.beta0 = state.beta0
         self.sigma2 = state.sigma2
         self.phi = state.phi
-        # each record's column is filled in by the _rebuild_columns call below
-        self.atoms: dict[int, list[tuple[list[float], float, np.ndarray]]] = {
-            k: [(list(knots), beta, None) for knots, beta in comp.atoms]
+        # each record's column and c·c are filled in by _rebuild_columns below
+        self.atoms: dict[int, list[tuple[list[float], float, np.ndarray, float]]] = {
+            k: [(list(knots), beta, None, None) for knots, beta in comp.atoms]
             for k, comp in state.components.items()}
         self.M: dict[int, float] = {k: comp.M for k, comp in state.components.items()}
         if set(self.atoms) != set(hyper.degrees):
             raise ValueError("state degrees do not match hyperparameter degrees")
         lo, hi = self.domain
         for atoms in self.atoms.values():
-            for knots, _, _ in atoms:
+            for knots, *_ in atoms:
                 if knots[0] < lo or knots[-1] > hi:
                     raise ValueError(
                         f"knots {tuple(knots)} lie outside the domain ({lo}, {hi})")
         self.attempts: dict[tuple[str, int], int] = {}
         self.accepts: dict[tuple[str, int], int] = {}
         self._rebuild_columns()
-        self.fitted = self.cached_mean()
+        self.resid = self.y - self.cached_mean()
+        self.rss = _sumsq(self.resid)
 
     # ---- caches -----------------------------------------------------------
 
     def _rebuild_columns(self):
         # in place: a relocation in progress holds its degree's list
         for k, atoms in self.atoms.items():
-            atoms[:] = [(knots, beta, basis_values(knots, k, self.x))
-                        for knots, beta, _ in atoms]
+            for i, (knots, beta, *_) in enumerate(atoms):
+                col = basis_values(knots, k, self.x)
+                atoms[i] = (knots, beta, col, _sumsq(col))
 
-    @property
-    def fitted(self) -> np.ndarray:
-        return self._fitted
+    def _write(self, delta: np.ndarray):
+        """Add `delta` to the fit: take it off `resid` and recompute `rss`.
 
-    @fitted.setter
-    def fitted(self, value: np.ndarray):
-        # records are written before the fit, so full recompute re-sums them
+        Every move writes its record first, so a full-recompute chain ignores
+        `delta` and rebuilds every column and `cc` from the records instead.
+        """
         if self.full_recompute:
             self._rebuild_columns()
-            value = self.cached_mean()
-        self._fitted = value
-        self.resid = self.y - value
-        self.rss = _rss(self.resid)
+            self.resid = self.y - self.cached_mean()
+        else:
+            self.resid -= delta
+        self.rss = _sumsq(self.resid)
 
     def cached_mean(self) -> np.ndarray:
         """The mean on the chain's `x`, summed from the cached columns.
 
         Each column is `basis_values` of its atom on `x` and the sum runs in
         `mean_on`'s order, so this is `mean_on(x)` bit for bit without
-        evaluating a basis function. `fitted`, updated by adding deltas,
-        can differ from it in the last bits.
+        evaluating a basis function. `y - resid`, updated by taking off
+        deltas, can differ from it in the last bits.
         """
         out = np.full(len(self.x), self.beta0)
         for atoms in self.atoms.values():
-            for _, beta, col in atoms:
+            for _, beta, col, _ in atoms:
                 out += beta * col
         return out
 
-    def _llr(self, delta: np.ndarray) -> float:
-        """Log-likelihood ratio of adding `delta` to the fitted values."""
-        return -(_rss(self.resid - delta) - self.rss) / (2.0 * self.sigma2)
+    def _llr(self, beta: float, col: np.ndarray, cc: float) -> float:
+        """Log-likelihood ratio of adding `beta * col` to the fit, `cc` = col·col.
+
+        -(|r - beta c|^2 - |r|^2) / (2 sigma^2), expanded, so no difference
+        of two large sums of squares is taken.
+        """
+        return beta * (float(self.resid @ col) - 0.5 * beta * cc) / self.sigma2
 
     def _accept(self, log_ratio: float) -> bool:
         return math.log(self.draws.random() + _TINY) < log_ratio
@@ -285,7 +296,7 @@ class Chain:
         """The mean on any `grid`, evaluating every atom's basis there."""
         out = np.full(len(grid), self.beta0)
         for k, atoms in self.atoms.items():
-            for knots, beta, _ in atoms:
+            for knots, beta, *_ in atoms:
                 out += beta * basis_values(knots, k, grid)
         return out
 
@@ -295,12 +306,12 @@ class Chain:
         J = len(self.atoms[k])
         knots, beta = sample_atom(k, self.phi, self.domain, self.draws)
         col = basis_values(knots, k, self.x)
-        delta = beta * col
-        log_ratio = birth_ratio(self._llr(delta), self.M[k], J, self.hyper)
+        cc = _sumsq(col)
+        log_ratio = birth_ratio(self._llr(beta, col, cc), self.M[k], J, self.hyper)
         accepted = self._accept(log_ratio)
         if accepted:
-            self.atoms[k].append((knots, beta, col))
-            self.fitted = self.fitted + delta
+            self.atoms[k].append((knots, beta, col, cc))
+            self._write(beta * col)
         return accepted, log_ratio
 
     def death(self, k: int) -> tuple[bool, float]:
@@ -309,13 +320,12 @@ class Chain:
         if J == 0:
             raise RuntimeError("death move attempted on an empty component")
         r = self.draws.index(J)
-        _, beta, col = atoms[r]
-        delta = -beta * col
-        log_ratio = death_ratio(self._llr(delta), self.M[k], J, self.hyper)
+        _, beta, col, cc = atoms[r]
+        log_ratio = death_ratio(self._llr(-beta, col, cc), self.M[k], J, self.hyper)
         accepted = self._accept(log_ratio)
         if accepted:
             atoms.pop(r)
-            self.fitted = self.fitted + delta
+            self._write(-beta * col)
         return accepted, log_ratio
 
     def relocate(self, k: int) -> list[bool]:
@@ -324,7 +334,7 @@ class Chain:
         if J == 0:
             raise RuntimeError("relocation attempted on an empty component")
         r = self.draws.index(J)
-        knots, beta, col = atoms[r]
+        knots, beta, col, _ = atoms[r]
         lo_bound, hi_bound = self.domain
         flags = []
         for i in range(k + 2):
@@ -333,13 +343,13 @@ class Chain:
             candidate = knots.copy()
             candidate[i] = lo + (hi - lo) * self.draws.random()
             new_col = basis_values(candidate, k, self.x)
-            delta = beta * (new_col - col)
-            accepted = self._accept(self._llr(delta))
+            diff = new_col - col
+            accepted = self._accept(self._llr(beta, diff, _sumsq(diff)))
             if accepted:
                 knots, col = candidate, new_col
                 # written before the fit: a full-recompute rebuild reads it
-                atoms[r] = (knots, beta, col)
-                self.fitted = self.fitted + delta
+                atoms[r] = (knots, beta, col, _sumsq(col))
+                self._write(beta * diff)
             flags.append(accepted)
         self.gibbs_beta(k, r)
         return flags
@@ -347,13 +357,13 @@ class Chain:
     # ---- Gibbs updates ----------------------------------------------------
 
     def gibbs_beta(self, k: int, idx: int):
-        knots, beta, col = self.atoms[k][idx]
-        var = 1.0 / (float(col @ col) / self.sigma2 + 1.0 / self.phi**2)
-        partial = self.resid + beta * col
-        mean = var * float(partial @ col) / self.sigma2
+        knots, beta, col, cc = self.atoms[k][idx]
+        var = 1.0 / (cc / self.sigma2 + 1.0 / self.phi**2)
+        # (resid + beta col)·col, the partial residual's, without forming it
+        mean = var * (float(self.resid @ col) + beta * cc) / self.sigma2
         new_beta = self.draws.normal(mean, math.sqrt(var))
-        self.atoms[k][idx] = (knots, new_beta, col)
-        self.fitted = self.fitted + (new_beta - beta) * col
+        self.atoms[k][idx] = (knots, new_beta, col, cc)
+        self._write((new_beta - beta) * col)
 
     def gibbs_M(self, k: int):
         a = self.hyper.a_gamma + len(self.atoms[k])

@@ -21,8 +21,17 @@ from levyspline.sampler import (
     run_chain,
 )
 from levyspline.signals import generate_dataset
-from oracles import birth_log_ratio, death_log_ratio, log_likelihood, make_state
+from oracles import birth_log_ratio, death_log_ratio, eval_mean, log_likelihood, make_state
 from test_bspline import _reference_basis
+
+
+def chain_state(chain, k=None, r=None, knots=None):
+    """The chain's current state, with atom r of degree k moved to `knots` if given."""
+    atoms = {kk: [(tuple(ks), beta) for ks, beta, *_ in recs]
+             for kk, recs in chain.atoms.items()}
+    if knots is not None:
+        atoms[k][r] = (tuple(knots), atoms[k][r][1])
+    return make_state(atoms, beta0=chain.beta0, sigma2=chain.sigma2, phi=chain.phi)
 
 
 def flat_data(n=5, value=0.0):
@@ -308,7 +317,7 @@ class TestBirthDeathRatios:
             chain = Chain(data, HYPER0, rng, state=make_state({0: list(atoms)}, M=3.0))
             accepted, _ = chain.death(0)
             assert accepted
-            kept = [tuple(knots) for knots, _, _ in chain.atoms[0]]
+            kept = [tuple(knots) for knots, *_ in chain.atoms[0]]
             removed = [i for i, (knots, _) in enumerate(atoms)
                        if kept.count(knots) == 0][0]
             counts[removed] += 1
@@ -341,9 +350,51 @@ class TestRelocation:
             flags = chain.relocate(2)
             assert len(flags) == 4
             assert len(chain.atoms[2]) == 2
-            for ks, _, _ in chain.atoms[2]:
+            for ks, *_ in chain.atoms[2]:
                 assert all(u <= v for u, v in zip(ks, ks[1:]))
                 assert data.domain[0] <= ks[0] and ks[-1] <= data.domain[1]
+
+    def test_ratios_match_full_likelihood_oracle(self, monkeypatch):
+        # every knot proposal's log ratio, as `_accept` receives it, is the
+        # full log-likelihood after the move minus the one before; the
+        # candidate is the knot vector of the latest `basis_values` call and
+        # a clone of the chain's draws gives the relocated atom's index
+        candidates = []
+
+        def recording(knots, k, x):
+            candidates.append(list(knots))
+            return basis_values(knots, k, x)
+
+        monkeypatch.setattr("levyspline.sampler.basis_values", recording)
+        rng = np.random.default_rng(44)
+        data = generate_dataset("heavisine", 48, 3.0, seed=1)
+        hyper = Hyperparams((0, 1, 2, 3))
+        worst, outcomes = 0.0, {(k, ok): 0 for k in range(4) for ok in (False, True)}
+        for _ in range(100):
+            atoms = {k: [sample_atom(k, 1.0, data.domain, rng)
+                         for _ in range(int(rng.integers(0, 3)))] for k in range(4)}
+            k = int(rng.integers(0, 4))
+            atoms[k].append(sample_atom(k, 1.0, data.domain, rng))
+            state = make_state(atoms, sigma2=float(rng.uniform(0.05, 3.0)),
+                               beta0=float(rng.normal()))
+            chain = Chain(data, hyper, rng, state=state)
+            accept = chain._accept
+
+            def checked(log_ratio):
+                nonlocal worst
+                oracle = (log_likelihood(chain_state(chain, k, r, candidates[-1]), data)
+                          - log_likelihood(chain_state(chain), data))
+                worst = max(worst, abs(log_ratio - oracle))
+                ok = accept(log_ratio)
+                outcomes[(k, ok)] += 1
+                return ok
+
+            chain._accept = checked
+            for _ in range(3):  # later proposals start after a gibbs_beta
+                r = copy.deepcopy(chain.draws).index(len(chain.atoms[k]))
+                chain.relocate(k)
+        assert min(outcomes.values()) > 0, outcomes
+        assert worst <= 1e-10
 
     def test_zero_beta_atom_always_accepts(self):
         # beta = 0: every per-knot likelihood ratio is exactly 1
@@ -389,7 +440,7 @@ class TestRelocation:
                                        sigma2=0.01, phi=3.0))
         for _ in range(3000):
             chain.relocate(0)
-        knots, _, _ = chain.atoms[0][0]
+        knots, *_ = chain.atoms[0][0]
         assert knots[0] == approx(best[0], abs=0.05)
         assert knots[1] == approx(best[1], abs=0.05)
 
@@ -423,6 +474,41 @@ class TestGibbsBeta:
         draws = np.array(draws)
         assert draws.mean() == approx(2.0, abs=3 / 100)
         assert draws.var() == approx(1.0, rel=0.1)
+
+    def test_draw_arguments_match_partial_residual_formula(self):
+        # the normal(loc, scale) the chain draws with is the full conditional
+        # from the partial residual (resid + beta c) of the state it holds,
+        # evaluated afresh: var = 1/(c·c/sigma2 + 1/phi^2), loc = var ((resid +
+        # beta c)·c)/sigma2, at every degree and after moves have run
+        rng = np.random.default_rng(45)
+        data = generate_dataset("heavisine", 48, 3.0, seed=2)
+        hyper = Hyperparams((0, 1, 2, 3))
+        chain = Chain(data, hyper, rng)
+        normal = chain.draws.normal
+        args = []
+
+        def recording(loc, scale):
+            args.append((loc, scale))
+            return normal(loc, scale)
+
+        chain.draws.normal = recording
+        checked = dict.fromkeys(range(4), 0)
+        for _ in range(400):
+            chain.sweep()
+            for k, atoms in chain.atoms.items():
+                if not atoms:
+                    continue
+                idx = int(rng.integers(len(atoms)))
+                knots, beta, *_ = atoms[idx]
+                c = basis_values(knots, k, data.x)
+                resid = data.y - eval_mean(chain_state(chain), data.x)
+                var = 1.0 / (c @ c / chain.sigma2 + 1.0 / chain.phi**2)
+                loc = var * float((resid + beta * c) @ c) / chain.sigma2
+                chain.gibbs_beta(k, idx)
+                assert args[-1][0] == approx(loc, rel=1e-12)
+                assert args[-1][1] == approx(math.sqrt(var), rel=1e-12)
+                checked[k] += 1
+        assert min(checked.values()) > 0, checked
 
     def test_moments_and_ks_against_analytic_conditional(self):
         data = generate_dataset("blocks", 64, 3.0, seed=5)
@@ -549,7 +635,7 @@ class TestRunChain:
             assert chain.sigma2 == out.sigma2[i] > 0
             for k, atoms in chain.atoms.items():
                 assert len(atoms) == out.J[k][i]
-                for ks, beta, col in atoms:
+                for ks, beta, col, _ in atoms:
                     assert len(ks) == k + 2
                     assert all(u <= v for u, v in zip(ks, ks[1:]))
                     assert lo <= ks[0] and ks[-1] <= hi
@@ -585,7 +671,7 @@ class TestRunChain:
             make_state({0: [((0.2, 0.5), 1.0)]}, beta0=math.nan)
         chain = Chain(data, HYPER0, rng, state=make_state({0: [((0.0, 1.0), 1.0)]}))
         assert chain.atoms[0][0][0] == [0.0, 1.0]
-        assert np.isfinite(chain.fitted).all()
+        assert np.isfinite(chain.resid).all()
 
     def test_incremental_matches_full_recompute(self):
         data = generate_dataset("blocks", 64, 3.0, seed=10)
@@ -689,24 +775,33 @@ class TestResidualCache:
                              ids=["incremental", "full_recompute"])
     def test_cached_residual_matches_fresh(self, mode):
         # before and after every move and Gibbs step, and before each
-        # proposal's likelihood ratio, the residual and RSS the chain would
-        # read are those of its current `fitted`, bit for bit: each write to
-        # `fitted` (accepted birth, death or relocation, gibbs_beta, a
-        # rebuild) recomputes the pair. A full-recompute chain's `fitted` is
-        # also its current records evaluated afresh, which holds only if
-        # every move writes its record before its fit
+        # proposal's likelihood ratio, `rss` has the bits of `resid @ resid`
+        # and each record's `cc` those of `col @ col`: every write goes
+        # through `_write`, and every column is made with its `cc`. A
+        # full-recompute chain's residual is also its current records
+        # evaluated afresh, which holds only if every move writes its record
+        # before its fit; an incremental one drifts from that only in the
+        # last bits
         data = generate_dataset("modified_heavisine", 64, 5.0, seed=18)
         hyper = Hyperparams((0, 1, 2, 3))
         chain = Chain(data, hyper, np.random.default_rng(19), **mode)
         calls = dict.fromkeys(("birth", "death", "relocate", "gibbs_beta",
                                "gibbs_M", "gibbs_sigma2", "_llr"), 0)
+        drifted = 0
 
         def check():
-            fresh = chain.y - chain.fitted
-            assert chain.resid.tobytes() == fresh.tobytes()
-            assert np.float64(chain.rss).tobytes() == np.float64(fresh @ fresh).tobytes()
+            nonlocal drifted
+            resid = chain.resid
+            assert np.float64(chain.rss).tobytes() == np.float64(resid @ resid).tobytes()
+            for atoms in chain.atoms.values():
+                for _, _, col, cc in atoms:
+                    assert np.float64(cc).tobytes() == np.float64(col @ col).tobytes()
             if mode.get("full_recompute"):
-                assert chain.fitted.tobytes() == chain.mean_on(chain.x).tobytes()
+                assert resid.tobytes() == (chain.y - chain.mean_on(chain.x)).tobytes()
+            else:
+                fresh = chain.y - chain.cached_mean()
+                assert np.max(np.abs(resid - fresh)) <= 1e-10
+                drifted += resid.tobytes() != fresh.tobytes()
 
         def checked(name, step):
             def run(*args):
@@ -719,23 +814,15 @@ class TestResidualCache:
 
         for name in calls:
             setattr(chain, name, checked(name, getattr(chain, name)))
-        rebuilt = 0
-        for sweep in range(300):
+        for _ in range(300):
             chain.sweep()
-            if sweep % 50 == 49:
-                before = chain.fitted.tobytes()
-                chain._rebuild_columns()
-                chain.fitted = chain.cached_mean()
-                rebuilt += chain.fitted.tobytes() != before
-                check()
         assert all(calls.values())
         assert calls["gibbs_beta"] == calls["relocate"]  # one draw after each relocation
         for kind in ("birth", "death", "relocate"):
             assert sum(v for (m, _), v in chain.accepts.items() if m == kind) > 0
-        # a rebuild moved an incremental fit in the last bits, so a stale
-        # pair after a rebuild would have been caught; a full-recompute fit
-        # is already the rebuilt one
-        assert (rebuilt > 0) == (not mode)
+        # the incremental residual moved off the fresh one in the last bits,
+        # so the bitwise full-recompute check is not one it passes for free
+        assert (drifted > 0) == (not mode)
 
 
 def replay_chain(data, hyper, cfg, **mode):
