@@ -12,7 +12,10 @@
 #     1000-point grid, which ends inside a block of posterior_curve's band
 #     pass (every other grid here is a multiple of its 64 columns);
 #   - simulate modified_heavisine n=512, then fit it at degrees 0-3 on the
-#     data grid with --save-trace;
+#     data grid with --save-trace, and at degrees 0,1 on the data grid with
+#     --save-trace and on a 1000-point grid (degree 0-1 columns have the
+#     Cox-de Boor triangle's bits, so these fits stay byte-identical across
+#     a change to the degree 2-3 kernel);
 #   - a --full-recompute fit at degrees 0-3, so relocation of degree-2 and
 #     degree-3 atoms runs under full recompute too, a --full-recompute fit
 #     at degrees 0,2 on a 1000-point grid with --save-trace, so its curves go
@@ -37,7 +40,7 @@
 #   - a fit --config whose file sets q_lower = 0.005 and q_upper = 0.5 on a
 #     300-point grid (not a multiple of 64), so the band's interpolation
 #     weights reach 0.5 and above.
-# That is 107 files per run, inputs and stdout/stderr/status included.
+# That is 118 files per run, inputs and stdout/stderr/status included.
 # Everything is written under a temporary directory that is removed on exit.
 # Prints each file that differs and exits 1 if any does, 0 otherwise. Exits
 # 2 if both arguments resolve to the same directory, or if a run imports a
@@ -161,6 +164,10 @@ EOF
         --out mh.csv --truth-out mh_truth.csv
     run fit_mh fit mh.csv --degrees 0,1,2,3 --grid 0 --iterations 4000 \
         --burn-in 2000 --thin 10 --seed 7 --out-prefix mh_fit --save-trace
+    run fit_mh01 fit mh.csv --degrees 0,1 --grid 0 --iterations 3000 \
+        --burn-in 1000 --thin 10 --seed 31 --out-prefix mh01_fit --save-trace
+    run fit_mh01_grid fit mh.csv --degrees 0,1 --grid 1000 --iterations 3000 \
+        --burn-in 1000 --thin 10 --seed 37 --out-prefix mh01_grid_fit
     run fit_full fit blocks.csv --degrees 0,1,2,3 --iterations 500 --burn-in 100 \
         --thin 2 --seed 3 --full-recompute --out-prefix full_fit
     run fit_full_grid fit blocks.csv --degrees 0,2 --grid 1000 --iterations 1500 \

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -55,7 +56,7 @@ def _oracle_cases(seed=2024, repeats=24):
     for degree in range(4):
         for n in (1, 7, 128, 512):
             for kind in ("random", "on_grid", "coincident", "span_1e-289",
-                         "span_1e-300", "span_1e-310", "huge_x"):
+                         "span_1e-300", "span_1e-310", "huge_x", "shift_1e3"):
                 for _ in range(repeats):
                     x = np.sort(rng.uniform(-0.2, 1.2, n))
                     t = np.sort(rng.uniform(0.0, 1.0, degree + 2))
@@ -74,6 +75,10 @@ def _oracle_cases(seed=2024, repeats=24):
                         x[: min(n, 3)] = (0.5 * span, span, -span)[: min(n, 3)]
                     elif kind == "huge_x":
                         x[rng.integers(0, n, 2)] = (1e300, -1.7e308)
+                    elif kind == "shift_1e3":
+                        # far from 0, where a polynomial in x itself would
+                        # cancel; pieces anchored at their knots do not
+                        x, t = x + 1e3, t + 1e3
                     # points exactly on knots, and unsorted order half the time
                     x[rng.integers(0, n, min(n, degree + 2))] = t[: min(n, degree + 2)]
                     if rng.random() < 0.5:
@@ -155,16 +160,54 @@ class TestEvalBasis:
         assert eval_basis(knots, 0.5) == 0.0
 
     def test_matches_reference_byte_for_byte(self):
+        # degree 0 is the indicator and degree 1 the triangle's own weight
+        # quotient on each piece, so both keep the oracle's bits
         count = 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for degree, t, x in _oracle_cases():
+                if degree > 1:
+                    continue
                 got = basis_values(t, degree, x)
                 want = _reference_basis(t, degree, x)
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (degree, t.tolist())
+                assert not np.signbit(got).any(), (degree, t.tolist())
                 count += 1
-        assert count == 4 * 4 * 7 * 24
+        assert count == 2 * 4 * 8 * 24
+
+    def test_matches_reference_within_bound(self):
+        # degrees 2-3 sum a polynomial per piece, so they round differently
+        # from the triangle; a value is at most 1 and 4e-15 is 18 ulps of 1
+        count = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for degree, t, x in _oracle_cases():
+                if degree < 2:
+                    continue
+                got = basis_values(t, degree, x)
+                want = _reference_basis(t, degree, x)
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 4e-15, (degree, t.tolist())
+                assert not np.signbit(got).any(), (degree, t.tolist())
+                count += 1
+        assert count == 2 * 4 * 8 * 24
+
+    def test_multiple_knot_clamped_to_zero(self):
+        # the cubic's Horner sum reads -5.6e-17 here before the clamp at 0
+        got = basis_values((0.0, 0.0, 0.0, 0.5, 0.5625), 3, np.array([0.0]))
+        assert got.tobytes() == np.array([0.0]).tobytes()
+
+    def test_repeated_knots_stay_in_unit_interval(self):
+        # every knot vector over a few values, ties included, on a grid
+        # that holds each value
+        values = (0.0, 0.25, 0.5, 0.5625, 1.0)
+        x = np.union1d(np.linspace(-0.1, 1.1, 241), values)
+        for degree in (2, 3):
+            for t in itertools.combinations_with_replacement(values, degree + 2):
+                got = basis_values(t, degree, x)
+                assert not np.signbit(got).any(), t
+                assert (got >= 0.0).all() and (got <= 1.0 + 1e-12).all(), t
 
 
 class TestBasisIntegral:
