@@ -28,28 +28,29 @@ Practical Guide to Splines*, 1978):
     so no -0 reaches the result. A clamp at 0 removes the last-bit negatives
     rounding leaves at multiple knots (knots (0, 0, 0, 0.5, 0.5625) at
     x = 0, degree 3).
-  - x must be finite: outside the support s = x, so inf or nan gives nan
-    where the triangle gives 0. Callers pass a checked `Dataset`'s x or a
-    grid over its finite domain.
 
-Degree 0 is its indicator, and degree >= 4 runs the Cox-de Boor triangle,
-each level one 2-D numpy expression, once, with every non-finite weight set
-to 0. That is exact, bit for bit, against a triangle that masks each term
-to 0 where its child basis is 0:
-  - A weight is finite wherever its child basis is nonzero: there x lies in
-    the child's support, so |x - t| is at most the child's span, which is
-    nonzero and finite (knots lie in the data's finite domain). A weight
-    that is inf or nan (0/0 from coincident knots, overflow from subnormal
-    spans or from |x| near the float limit) therefore multiplies a child of
-    +0, and setting it to 0 gives the masked term's +0.
-  - A finite weight times a +0 child is +0 or -0. A row's sum is -0 only
-    if both of its weights are negative or -0, which needs x < t[i] and
-    x >= t[i+d+1] at once, so no -0 reaches the result.
+Degree 0 is its indicator. Degree k >= 4 combines its k - 2 degree-3
+children, on t_i..t_{i+4}, level by level (d = 4..k) by the recursion
+B_d(t_i..t_{i+d+1}) = w_l B_{d-1}(t_i..t_{i+d}) + w_r B_{d-1}(t_{i+1}..t_{i+d+1}),
+w_l = (x - t_i) / (t_{i+d} - t_i), w_r = (t_{i+d+1} - x) / (t_{i+d+1} - t_{i+1}),
+skipping a term whose span is 0 (its child is 0 everywhere). Each weight
+clips its numerator to [0, span] before the divide. Where the child is
+nonzero, x lies in its support, so the numerator is already in [0, span]
+(rounding is monotone) and the clip changes no bit; elsewhere the child is
++0, and so is a weight in [0, 1] times it. So no overflow, 0/0 or warning
+can occur, and each sum starts from +0, so no -0 reaches the result.
+Degrees 4-5 are within 6.1e-16 of a Cox-de Boor triangle masked term by
+term on the tests' stress cases (bound 4e-15). A call costs k - 2 table
+evaluations plus about ten numpy calls per blend: at n = 128, 55-125 us at
+degree 4 and 115-180 us at degree 5 (2-vCPU VM, varying with its load), two
+to three times a vectorized triangle's; no workload runs degree >= 4.
+
+x must be finite at every degree: outside the support the table has s = x,
+so +-inf or nan gives nan where a triangle gives 0. Callers pass a checked
+`Dataset`'s x or a grid over its finite domain.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -63,11 +64,18 @@ def basis_values(knots, degree: int, x: np.ndarray) -> np.ndarray:
     if degree == 0:
         lo, hi = float(knots[0]), float(knots[1])
         return ((lo <= x) & (x < hi)).astype(float)
-    t = np.asarray(knots, dtype=float)
-    if degree > 3:
-        return _cox_de_boor(t, degree, x)
-    rows = degree + 3
-    table = np.array(_piece_table(t.tolist(), degree), dtype=float)
+    return _values(np.asarray(knots, dtype=float), degree, x)
+
+
+def _values(t: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
+    """B_k(x; t) for k >= 1: the piece table, and its recursion above k = 3."""
+    if k > 3:
+        b = [_values(t[i:i + 5], 3, x) for i in range(k - 2)]
+        for d in range(4, k + 1):
+            b = [_blend(t, i, d, x, b[i], b[i + 1]) for i in range(k + 1 - d)]
+        return b[0]
+    rows = k + 3
+    table = np.array(_piece_table(t.tolist(), k), dtype=float)
     g = np.take(table.reshape(rows, rows).T, np.searchsorted(t, x, side="right"), axis=1)
     s = x - g[0]
     s /= g[1]
@@ -77,6 +85,19 @@ def basis_values(knots, degree: int, x: np.ndarray) -> np.ndarray:
         v *= s
     v += g[2]
     return np.maximum(v, 0.0, out=v)
+
+
+def _blend(t: np.ndarray, i: int, d: int, x: np.ndarray,
+           left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """B_d on t_i..t_{i+d+1} from its children on t_i..t_{i+d} and t_{i+1}..t_{i+d+1}."""
+    v = np.zeros_like(x)
+    span = t[i + d] - t[i]
+    if span > 0.0:
+        v += np.clip(x - t[i], 0.0, span) / span * left
+    span = t[i + d + 1] - t[i + 1]
+    if span > 0.0:
+        v += np.clip(t[i + d + 1] - x, 0.0, span) / span * right
+    return v
 
 
 def _piece_table(t: list[float], k: int) -> list[float]:
@@ -126,42 +147,3 @@ def _left_piece(t: list[float], j: int, k: int) -> tuple[float, ...]:
     # B(t_2): the level-2 bases there are 1 - e and e
     mid = (t[2] - t[0]) / (t[3] - t[0]) * (1.0 - e) + (t[4] - t[2]) / (t[4] - t[1]) * e
     return c0, c1, c2, mid - c0 - c1 - c2
-
-
-def _cox_de_boor(t: np.ndarray, degree: int, x: np.ndarray) -> np.ndarray:
-    """The vectorized Cox-de Boor triangle on knots `t`, degree >= 1."""
-    X = x - t[:, None]
-    S = X >= 0.0
-    b = (S[:-1] > S[1:]).astype(float)
-    num, hi = _weight_rows(degree)
-    W = X[num]
-    with np.errstate(all="ignore"):
-        W /= (t[hi] - t[num])[:, None]
-    W[~np.isfinite(W)] = 0.0
-    # level d's row i is W[left i] * B_{i,d-1} + W[right i] * B_{i+1,d-1}
-    o = 0
-    for m in range(degree, 0, -1):
-        b = W[o:o + m] * b[:m] + W[o + m:o + 2 * m] * b[1:]
-        o += 2 * m
-    return b[0]
-
-
-@functools.cache
-def _weight_rows(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """Knot indices of every level's weights, levels 1..degree in order.
-
-    With X[j] = x - t[j], row j's weight is X[num[j]] / (t[hi[j]] -
-    t[num[j]]). Level d has m = degree + 1 - d left rows, the weights
-    X[i] / (t[i+d] - t[i]), then m right rows, X[i+d+1] / (t[i+1] -
-    t[i+d+1]), for i < m. The right weight is (t[i+d+1] - x) / (t[i+d+1] -
-    t[i+1]) with both operands negated, which is exact, so it has the same
-    bits.
-    """
-    num, hi = [], []
-    for d in range(1, degree + 1):
-        i = np.arange(degree + 1 - d)
-        num += [i, i + d + 1]
-        hi += [i + d, i + 1]
-    num, hi = np.concatenate(num), np.concatenate(hi)
-    num.flags.writeable = hi.flags.writeable = False
-    return num, hi

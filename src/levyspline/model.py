@@ -90,6 +90,9 @@ class Hyperparams:
     move_probs: tuple[float, float, float] = (0.4, 0.4, 0.2)
 
     def __post_init__(self):
+        for k in self.degrees:
+            if not float(k).is_integer():
+                raise ValueError(f"degrees must be integers, got {k!r}")
         degrees = tuple(sorted(set(int(k) for k in self.degrees)))
         if not degrees or any(k < 0 for k in degrees):
             raise ValueError("degrees must be a non-empty set of non-negative ints")

@@ -5,7 +5,9 @@ each chain's `basis_values` count against the count the sampler implies. This
 runs a short traced `fit` in a fresh process, off the data grid and on it,
 so a refactor that renames a bound name, draws an atom other than through
 `sample_atom`, or changes how many basis columns a move or a recorded curve
-evaluates fails here.
+evaluates fails here. The fit runs degree 4 too, whose basis is built from
+degree-3 children: a build that went through the wrapped `basis_values`
+would add calls the count does not expect.
 """
 
 import json
@@ -32,7 +34,7 @@ assert main(["simulate", "modified_heavisine", "--n", "64", "--rsnr", "5",
              "--seed", "3", "--out", out + "/data.csv"]) == 0
 assert main(["fit", out + "/data.csv", "--out-prefix", out + "/fit",
              "--iterations", "200", "--burn-in", "50", "--thin", "5",
-             "--degrees", "0,1,2,3", "--grid", sys.argv[2], "--seed", "5"]) == 0
+             "--degrees", "0,1,2,3,4", "--grid", sys.argv[2], "--seed", "5"]) == 0
 tracer.dump(out + "/spans.json")
 """
 

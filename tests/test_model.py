@@ -55,6 +55,15 @@ class TestTypes:
         h = Hyperparams((0, 2), a_gamma=5.0)
         assert (h.a_gamma, h.b_gamma) == (5.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [2.9, 1.5, math.nan, math.inf])
+    def test_hyperparams_non_integer_degree_rejected(self, bad):
+        # int() would truncate 2.9 to degree 2 and run a chain nobody asked for
+        with pytest.raises(ValueError, match=f"degrees must be integers, got {bad}"):
+            Hyperparams((0, bad))
+
+    def test_hyperparams_integral_float_degree_accepted(self):
+        assert Hyperparams((2.0, 0)).degrees == (0, 2)
+
     def test_hyperparams_defaults_per_degree(self):
         h = Hyperparams([2, 0], move_probs=[0.2, 0.3, 0.5])
         assert h.degrees == (0, 2)
