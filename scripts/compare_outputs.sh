@@ -39,8 +39,12 @@
 #     and trace quantile sits at or above the last sample index;
 #   - a fit --config whose file sets q_lower = 0.005 and q_upper = 0.5 on a
 #     300-point grid (not a multiple of 64), so the band's interpolation
-#     weights reach 0.5 and above.
-# That is 118 files per run, inputs and stdout/stderr/status included.
+#     weights reach 0.5 and above;
+#   - a fit of a user CSV whose x values are unsorted and span
+#     [-0.4955, 2.4204], not [0, 1], at degrees 0,1 on a 300-point grid with
+#     --save-trace, so the off-data grid is pinned to the data's x range
+#     (every other fit here runs on simulate's sorted 0..1 data).
+# That is 125 files per run, inputs and stdout/stderr/status included.
 # Everything is written under a temporary directory that is removed on exit.
 # Prints each file that differs and exits 1 if any does, 0 otherwise. Exits
 # 2 if both arguments resolve to the same directory, or if a run imports a
@@ -153,6 +157,33 @@ thin = 10
 seed = 17
 grid = 300
 EOF
+    cat >user.csv <<'EOF'
+x,y
+-0.2431,0.4779
+0.2104,1.5706
+1.9038,-0.5373
+1.2465,0.0232
+-0.2176,0.5053
+0.7994,2.3003
+0.9372,1.6883
+-0.0208,0.8709
+1.7037,-0.4979
+-0.159,0.8614
+0.6737,2.0026
+1.0502,0.564
+0.7919,1.1515
+1.2604,0.3881
+1.7135,-1.0694
+2.3688,-2.0003
+0.3526,1.7311
+1.4456,-0.0421
+1.5886,-0.669
+0.3782,1.3634
+-0.4955,0.1713
+2.4204,-1.5076
+0.3952,2.1323
+0.442,1.9975
+EOF
     run sim_blocks simulate blocks --n 128 --rsnr 3 --seed 5 \
         --out blocks.csv --truth-out blocks_truth.csv
     run fit_blocks fit blocks.csv --degrees 0 --grid 1024 --iterations 10000 \
@@ -193,6 +224,8 @@ EOF
     run fit_single fit blocks.csv --degrees 0,1 --grid 200 --iterations 110 \
         --burn-in 100 --thin 10 --seed 19 --out-prefix single_fit --save-trace
     run fit_skew fit blocks.csv --config config_skew.txt --out-prefix skew_fit
+    run fit_user fit user.csv --degrees 0,1 --grid 300 --iterations 3000 \
+        --burn-in 1000 --thin 10 --seed 41 --out-prefix user_fit --save-trace
     cd - >/dev/null
 }
 

@@ -19,7 +19,7 @@ from .sampler import (
     run_chain,
 )
 from .signals import eval_test_function, generate_dataset, rsnr_sigma, sample_grid
-from .bench import ExperimentSpec, ExperimentResult, emit_table, mse, run_experiment
+from .bench import ExperimentSpec, emit_table, mse, run_experiment
 
 __all__ = [
     "basis_values",
@@ -27,7 +27,7 @@ __all__ = [
     "ModelState", "init_state", "sample_atom",
     "Chain", "ChainConfig", "ChainOutput", "choose_move", "posterior_curve", "run_chain",
     "eval_test_function", "generate_dataset", "rsnr_sigma", "sample_grid",
-    "ExperimentSpec", "ExperimentResult", "emit_table", "mse", "run_experiment",
+    "ExperimentSpec", "emit_table", "mse", "run_experiment",
 ]
 
 __version__ = "0.1.0"

@@ -39,21 +39,6 @@ class ExperimentSpec:
             raise ValueError(f"threshold must be finite, got {self.threshold}")
 
 
-@dataclass
-class ExperimentResult:
-    spec: ExperimentSpec
-    mses: list[float]
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.mses))
-
-    @property
-    def sd(self) -> float:
-        # single replicate reports 0 by convention (flagged in the table)
-        return float(np.std(self.mses, ddof=1)) if len(self.mses) > 1 else 0.0
-
-
 def mse(truth, estimate) -> float:
     """Mean squared pointwise difference."""
     truth = np.asarray(truth, dtype=float)
@@ -73,59 +58,54 @@ def run_replicate(spec: ExperimentSpec, index: int) -> float:
     return mse(truth, mean_curve)
 
 
-def run_experiment(spec: ExperimentSpec, progress=None) -> ExperimentResult:
-    """Run all replicates sequentially (deterministic by construction)."""
-    result = ExperimentResult(spec=spec, mses=[])
+def run_experiment(spec: ExperimentSpec, progress=None) -> list[float]:
+    """Each replicate's MSE, in index order (deterministic by construction).
+
+    `progress(i, mse)` is called after replicate i, if given.
+    """
+    mses = []
     for i in range(spec.replicates):
-        result.mses.append(run_replicate(spec, i))
+        mses.append(run_replicate(spec, i))
         if progress is not None:
-            progress(i, result.mses[-1])
-    return result
+            progress(i, mses[-1])
+    return mses
 
 
-_TABLE_FIELDS = ["function", "n", "rsnr", "degrees", "replicates", "mean_mse",
-                 "sd_mse", "reference_mean", "reference_se", "threshold", "status"]
+def emit_table(spec: ExperimentSpec, mses: list[float], format: str = "csv") -> str:
+    """The spec's results row, as CSV or as a one-row JSON list of the same values.
 
-
-def _result_row(res: ExperimentResult) -> dict:
-    spec = res.spec
+    A single replicate reports sd 0 by convention, which its status flags.
+    """
+    mean = float(np.mean(mses))
     ref = reference_mse(spec.function, spec.n, spec.rsnr)
     if spec.threshold is None:
         status = "n/a"
     else:
-        status = "pass" if res.mean <= spec.threshold else "fail"
+        status = "pass" if mean <= spec.threshold else "fail"
     if spec.replicates == 1:
         status += " (single replicate, sd=0 by convention)"
-    return {
+    row = {
         "function": spec.function,
         "n": spec.n,
         "rsnr": spec.rsnr,
         "degrees": ",".join(str(k) for k in spec.hyper.degrees),
         "replicates": spec.replicates,
-        "mean_mse": res.mean,
-        "sd_mse": res.sd,
+        "mean_mse": mean,
+        "sd_mse": float(np.std(mses, ddof=1)) if len(mses) > 1 else 0.0,
         "reference_mean": ref[0] if ref else "",
         "reference_se": ref[1] if ref else "",
         "threshold": spec.threshold if spec.threshold is not None else "",
         "status": status,
     }
-
-
-def emit_table(results: list[ExperimentResult], format: str = "csv") -> str:
-    """One row per experiment, as CSV or JSON with identical numeric content."""
-    if not results:
-        raise ValueError("no results to emit")
-    rows = [_result_row(r) for r in results]
     if format == "csv":
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=_TABLE_FIELDS, lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=list(row), lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerow(row)
         return buf.getvalue()
     if format == "json":
         # a non-finite number (rsnr = inf) is not JSON: write the CSV's text
-        rows = [{key: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
-                 for key, v in row.items()} for row in rows]
-        return json.dumps(rows, indent=2, allow_nan=False) + "\n"
+        row = {key: repr(v) if isinstance(v, float) and not math.isfinite(v) else v
+               for key, v in row.items()}
+        return json.dumps([row], indent=2, allow_nan=False) + "\n"
     raise ValueError(f"unknown format {format!r}")

@@ -169,16 +169,9 @@ def _read_key_values(text: str, kinds: dict, what: str) -> dict:
     return values
 
 
-def parse_config(text: str) -> RunConfig:
-    return RunConfig(**_read_key_values(text, _CONFIG_KEYS, "config"))
-
-
-def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
-    """The file's values with `overrides` on top, validated once as a whole."""
-    values = {}
-    if path is not None:
-        with open(path) as fh:
-            values = _read_key_values(fh.read(), _CONFIG_KEYS, "config")
+def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
+    """The text's values with `overrides` on top, validated once as a whole."""
+    values = _read_key_values(text, _CONFIG_KEYS, "config")
     return RunConfig(**{**values, **(overrides or {})})
 
 
@@ -209,8 +202,8 @@ _FIT_FLAGS = {
     "degrees": "comma-separated, e.g. 0,1,2",
     "grid": "curve grid resolution; 0 uses the data grid",
     "prior_only": "disable the likelihood (prior-recovery mode)",
-    "full_recompute": "recompute the fit from scratch at every likelihood "
-                      "evaluation (verification mode)",
+    "full_recompute": "rebuild every basis column and the residual from the "
+                      "knots at each write to the fit (verification mode)",
 }
 
 
@@ -218,9 +211,13 @@ def cmd_fit(args) -> int:
     # a flag's text is parsed as the config line `key = text` would be
     flags = {key: _parse_value(key, raw, _CONFIG_KEYS[key])
              for key, raw in vars(args).items() if key in _FIT_FLAGS}
-    cfg = load_config(args.config, flags)
+    text = ""
+    if args.config is not None:
+        with open(args.config) as fh:
+            text = fh.read()
+    cfg = parse_config(text, flags)
     data = parse_dataset(args.data)
-    grid = data.x if cfg.grid == 0 else np.linspace(data.domain[0], data.domain[1], cfg.grid)
+    grid = data.x if cfg.grid == 0 else np.linspace(data.x.min(), data.x.max(), cfg.grid)
     out = run_chain(data, cfg.hyperparams(), cfg.chain_config(), grid=grid,
                     prior_only=cfg.prior_only, full_recompute=cfg.full_recompute)
     mean, lower, upper = posterior_curve(out, levels=(cfg.q_lower, cfg.q_upper))
@@ -317,8 +314,8 @@ def cmd_benchmark(args) -> int:
     def progress(i, value):
         if args.verbose:
             print(f"replicate {i}: mse={value:.4f}", file=sys.stderr)
-    result = run_experiment(spec, progress=progress)
-    table = emit_table([result], format=args.format)
+    mses = run_experiment(spec, progress=progress)
+    table = emit_table(spec, mses, format=args.format)
     with open(args.out, "w") as fh:
         fh.write(table)
     print(f"wrote {args.out}")

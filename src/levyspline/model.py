@@ -23,6 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
+TINY = 1e-300  # floor that keeps a drawn rate, precision or log argument positive
+
+
 class DegenerateDataError(ValueError):
     """Raised when y is constant: the coefficient prior scale would be 0."""
 
@@ -166,19 +169,16 @@ def sample_atom(k: int, phi: float, domain: tuple[float, float],
 
 def coefficient_scale(data: Dataset) -> float:
     """phi = half the observed response range, shared by every degree."""
-    spread = float(data.y.max() - data.y.min())
+    lo, hi = float(data.y.min()), float(data.y.max())
+    spread = hi - lo  # Python floats: an overflow is inf, not a numpy warning
+    if not math.isfinite(spread):
+        raise ValueError(f"response range width must be finite, got ({lo}, {hi})")
     if spread <= 0:
         raise DegenerateDataError(
             "y is constant: coefficient prior scale would be 0; "
             "an intercept-only fit needs no atoms"
         )
     return 0.5 * spread
-
-
-def sample_sigma2_prior(hyper: Hyperparams, rng) -> float:
-    """Draw sigma^2 from its IG(r/2, rR/2) prior."""
-    g = rng.gamma(hyper.r / 2.0, 2.0 / (hyper.r * hyper.R))
-    return 1.0 / max(g, 1e-300)
 
 
 def init_state(data: Dataset, hyper: Hyperparams, rng) -> ModelState:
@@ -188,9 +188,10 @@ def init_state(data: Dataset, hyper: Hyperparams, rng) -> ModelState:
     components: dict[int, DegreeComponent] = {}
     for k in hyper.degrees:
         M = float(rng.gamma(hyper.a_gamma, 1.0 / hyper.b_gamma))
-        M = max(M, 1e-300)
+        M = max(M, TINY)
         J = int(rng.poisson(M))
         atoms = [sample_atom(k, phi, data.domain, rng) for _ in range(J)]
         components[k] = DegreeComponent(atoms=atoms, M=M)
-    sigma2 = sample_sigma2_prior(hyper, rng)
+    g = rng.gamma(hyper.r / 2.0, 2.0 / (hyper.r * hyper.R))  # sigma^2 ~ IG(r/2, rR/2)
+    sigma2 = 1.0 / max(g, TINY)
     return ModelState(beta0=beta0, components=components, sigma2=sigma2, phi=phi)

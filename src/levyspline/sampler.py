@@ -55,10 +55,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bspline import basis_values
-from .model import Dataset, Hyperparams, ModelState, init_state, sample_atom
+from .model import TINY, Dataset, Hyperparams, ModelState, init_state, sample_atom
 
 BIRTH, DEATH, RELOCATE = "birth", "death", "relocate"
-_TINY = 1e-300
 BLOCK = 1024  # uniforms, and standard normals, drawn per `Generator` call
 GAMMA_BLOCK = 16  # standard gammas drawn per `Generator` call, one block per shape
 _BAND_COLUMNS = 64  # grid points per `_quantiles` call in `posterior_curve`
@@ -290,7 +289,7 @@ class Chain:
         return beta * (float(self.resid @ col) - 0.5 * beta * cc) / self.sigma2
 
     def _accept(self, log_ratio: float) -> bool:
-        return math.log(self.draws.random() + _TINY) < log_ratio
+        return math.log(self.draws.random() + TINY) < log_ratio
 
     def mean_on(self, grid: np.ndarray) -> np.ndarray:
         """The mean on any `grid`, evaluating every atom's basis there."""
@@ -368,14 +367,14 @@ class Chain:
     def gibbs_M(self, k: int):
         a = self.hyper.a_gamma + len(self.atoms[k])
         b = self.hyper.b_gamma + 1.0
-        self.M[k] = max(self.draws.gamma(a, 1.0 / b), _TINY)
+        self.M[k] = max(self.draws.gamma(a, 1.0 / b), TINY)
 
     def gibbs_sigma2(self):
         r, R = self.hyper.r, self.hyper.R
         r0 = r + len(self.y)
         R0 = (self.rss + r * R) / r0
-        g = self.draws.gamma(r0 / 2.0, 2.0 / max(r0 * R0, _TINY))
-        self.sigma2 = 1.0 / max(g, _TINY)
+        g = self.draws.gamma(r0 / 2.0, 2.0 / max(r0 * R0, TINY))
+        self.sigma2 = 1.0 / max(g, TINY)
 
     # ---- outer loop -------------------------------------------------------
 

@@ -134,4 +134,4 @@ def generate_dataset(name: str, n: int, rsnr: float, seed: int) -> Dataset:
     sigma = rsnr_sigma(f, rsnr)
     rng = np.random.default_rng(seed)
     y = f + rng.normal(0.0, 1.0, size=n) * sigma
-    return Dataset(x=x, y=y, domain=(0.0, 1.0))
+    return Dataset(x=x, y=y)

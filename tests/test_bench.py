@@ -7,7 +7,6 @@ import pytest
 from pytest import approx
 
 from levyspline.bench import (
-    ExperimentResult,
     ExperimentSpec,
     emit_table,
     mse,
@@ -53,16 +52,7 @@ class TestMse:
             mse([], [])
 
 
-class TestExperimentResult:
-    def test_mean_and_sd(self):
-        res = ExperimentResult(spec=small_spec(), mses=[1.0, 3.0])
-        assert res.mean == approx(2.0)
-        assert res.sd == approx(np.std([1.0, 3.0], ddof=1))
-
-    def test_single_replicate_sd_zero(self):
-        res = ExperimentResult(spec=small_spec(replicates=1), mses=[1.0])
-        assert res.sd == 0.0
-
+class TestExperimentSpec:
     def test_replicates_validated(self):
         with pytest.raises(ValueError):
             small_spec(replicates=0)
@@ -71,24 +61,24 @@ class TestExperimentResult:
 class TestRunExperiment:
     def test_small_run(self):
         spec = small_spec()
-        res = run_experiment(spec)
-        assert len(res.mses) == 2
-        assert all(m >= 0 and np.isfinite(m) for m in res.mses)
+        mses = run_experiment(spec)
+        assert len(mses) == 2
+        assert all(m >= 0 and np.isfinite(m) for m in mses)
 
     def test_replicates_match_run_replicate(self):
         # the harness must score each index exactly as a standalone call would
         spec = small_spec()
-        res = run_experiment(spec)
-        assert res.mses[0] == run_replicate(spec, 0)
-        assert res.mses[1] == run_replicate(spec, 1)
+        mses = run_experiment(spec)
+        assert mses[0] == run_replicate(spec, 0)
+        assert mses[1] == run_replicate(spec, 1)
 
     def test_deterministic(self):
         spec = small_spec()
-        assert run_experiment(spec).mses == run_experiment(spec).mses
+        assert run_experiment(spec) == run_experiment(spec)
 
     def test_base_seed_changes_results(self):
         chain = ChainConfig(iterations=300, burn_in=100, thin=4, seed=23)
-        assert run_experiment(small_spec()).mses != run_experiment(small_spec(chain=chain)).mses
+        assert run_experiment(small_spec()) != run_experiment(small_spec(chain=chain))
 
     def test_progress_callback(self):
         seen = []
@@ -97,14 +87,16 @@ class TestRunExperiment:
 
 
 class TestEmitTable:
-    def _result(self, threshold=None, mses=(0.5, 0.7)):
+    def _table(self, format, threshold=None, mses=(0.5, 0.7)):
         spec = small_spec(function="blocks", n=128, rsnr=3.0,
                           threshold=threshold, replicates=len(mses))
-        return ExperimentResult(spec=spec, mses=list(mses))
+        return emit_table(spec, list(mses), format)
+
+    def _row(self, **kwargs):
+        return next(csv.DictReader(io.StringIO(self._table("csv", **kwargs))))
 
     def test_csv_layout(self):
-        text = emit_table([self._result(threshold=2.0)], "csv")
-        rows = list(csv.DictReader(io.StringIO(text)))
+        rows = list(csv.DictReader(io.StringIO(self._table("csv", threshold=2.0))))
         assert len(rows) == 1
         row = rows[0]
         assert row["function"] == "blocks"
@@ -112,28 +104,32 @@ class TestEmitTable:
         assert float(row["reference_mean"]) == approx(1.305)
         assert row["status"] == "pass"
 
+    def test_mean_and_sd(self):
+        row = self._row(mses=(1.0, 3.0))
+        assert float(row["mean_mse"]) == approx(2.0)
+        assert float(row["sd_mse"]) == approx(np.std([1.0, 3.0], ddof=1))
+
     def test_fail_status(self):
-        text = emit_table([self._result(threshold=0.1)], "csv")
-        row = next(csv.DictReader(io.StringIO(text)))
-        assert row["status"] == "fail"
+        assert self._row(threshold=0.1)["status"] == "fail"
 
     def test_no_threshold_status(self):
-        text = emit_table([self._result()], "csv")
-        row = next(csv.DictReader(io.StringIO(text)))
+        row = self._row()
         assert row["status"] == "n/a"
         assert row["threshold"] == ""
 
     def test_single_replicate_flagged(self):
-        text = emit_table([self._result(mses=(0.5,))], "csv")
-        row = next(csv.DictReader(io.StringIO(text)))
+        row = self._row(mses=(0.5,))
         assert "single replicate" in row["status"]
 
+    def test_single_replicate_sd_zero(self):
+        assert float(self._row(mses=(1.0,))["sd_mse"]) == 0.0
+
     def test_json_matches_csv_values(self):
-        results = [self._result(threshold=2.0), self._result()]
-        csv_rows = list(csv.DictReader(io.StringIO(emit_table(results, "csv"))))
-        json_rows = json.loads(emit_table(results, "json"))
-        assert len(json_rows) == len(csv_rows) == 2
-        for c, j in zip(csv_rows, json_rows):
+        for threshold in (2.0, None):
+            csv_rows = list(csv.DictReader(io.StringIO(self._table("csv", threshold))))
+            json_rows = json.loads(self._table("json", threshold))
+            assert len(json_rows) == len(csv_rows) == 1
+            c, j = csv_rows[0], json_rows[0]
             assert set(c) == set(j)
             assert float(c["mean_mse"]) == approx(j["mean_mse"])
             assert float(c["sd_mse"]) == approx(j["sd_mse"])
@@ -141,9 +137,7 @@ class TestEmitTable:
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
-            emit_table([self._result()], "xml")
-        with pytest.raises(ValueError):
-            emit_table([], "csv")
+            self._table("xml")
 
 
 class TestReferenceConstants:

@@ -14,7 +14,6 @@ from levyspline.cli import (
     RunConfig,
     _trace_summary,
     fmt,
-    load_config,
     main,
     parse_benchmark_spec,
     parse_config,
@@ -141,21 +140,17 @@ class TestRunConfig:
         cfg = parse_config("degrees = 1,3\nr = 0.125\nfull_recompute = true\n")
         assert parse_config(cfg.dump()) == cfg
 
-    def test_load_config_with_overrides(self, tmp_path):
-        path = tmp_path / "c.txt"
-        path.write_text("seed = 3\niterations = 2000\nburn_in = 500\n")
-        cfg = load_config(str(path), {"seed": 11})
+    def test_load_config_with_overrides(self):
+        cfg = parse_config("seed = 3\niterations = 2000\nburn_in = 500\n", {"seed": 11})
         assert cfg.seed == 11 and cfg.iterations == 2000
 
-    def test_load_config_validates_file_and_overrides_together(self, tmp_path):
-        # the file alone has burn_in (default 25000) >= iterations; the
-        # override makes the whole valid, as the same line in the file would
-        path = tmp_path / "c.txt"
-        path.write_text("iterations = 240\n")
-        cfg = load_config(str(path), {"burn_in": 40})
+    def test_load_config_validates_file_and_overrides_together(self):
+        # the text alone has burn_in (default 25000) >= iterations; the
+        # override makes the whole valid, as the same line in the text would
+        cfg = parse_config("iterations = 240\n", {"burn_in": 40})
         assert (cfg.iterations, cfg.burn_in) == (240, 40)
         with pytest.raises(ValueError, match="burn_in must be smaller than iterations"):
-            load_config(str(path))
+            parse_config("iterations = 240\n")
 
 
 class TestBenchmarkSpec:
@@ -371,6 +366,25 @@ class TestFitCommand:
         assert rc == 1
         assert capsys.readouterr().err == (
             "error: domain width must be finite, got (-1e+308, 1e+308)\n")
+
+    def test_overflowing_y_range_exits_1(self, tmp_path, capsys):
+        # the response range's width overflows a double
+        path = tmp_path / "tall.csv"
+        path.write_text("x,y\n0.0,-1e308\n0.5,0.0\n1.0,1e308\n")
+        rc = main(["fit", str(path), "--out-prefix", str(tmp_path / "t"),
+                   "--iterations", "100", "--burn-in", "10", "--degrees", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: response range width must be finite, got (-1e+308, 1e+308)\n")
+
+    def test_grid_spans_the_data_x_range(self, tmp_path):
+        path = tmp_path / "user.csv"
+        path.write_text("x,y\n0.5,1.0\n0.25,0.0\n0.625,3.0\n0.375,2.0\n")
+        assert main(["fit", str(path), "--out-prefix", str(tmp_path / "u"), "--grid", "5",
+                     "--iterations", "100", "--burn-in", "10", "--degrees", "0"]) == 0
+        lines = (tmp_path / "u_curve.csv").read_text().splitlines()[1:]
+        assert [float(line.split(",")[0]) for line in lines] == [0.25, 0.34375, 0.4375,
+                                                                  0.53125, 0.625]
 
     @pytest.mark.parametrize("config, message", [
         ("q_lower = 0.0251\nq_upper = 0.0254\n",

@@ -295,6 +295,15 @@ class TestInitState:
         with pytest.raises(DegenerateDataError):
             coefficient_scale(data)
 
+    def test_overflowing_response_range_rejected(self):
+        # y's range overflows a double, as x's domain width can
+        data = Dataset(x=np.array([0.0, 0.5, 1.0]), y=np.array([-1e308, 0.0, 1e308]))
+        message = r"response range width must be finite, got \(-1e\+308, 1e\+308\)"
+        with pytest.raises(ValueError, match=message):
+            coefficient_scale(data)
+        with pytest.raises(ValueError, match=message):
+            init_state(data, Hyperparams((0,)), np.random.default_rng(0))
+
     def test_random_components_match_prior_moments(self):
         # r=6, R=1: sigma2 ~ IG(3, 3), mean 1.5; M ~ Ga(2, 1), mean 2;
         # J | M ~ Poi(M) so E[J] = 2, Var[J] = E[M] + Var[M] = 4
