@@ -43,8 +43,11 @@
 #   - a fit of a user CSV whose x values are unsorted and span
 #     [-0.4955, 2.4204], not [0, 1], at degrees 0,1 on a 300-point grid with
 #     --save-trace, so the off-data grid is pinned to the data's x range
-#     (every other fit here runs on simulate's sorted 0..1 data).
-# That is 125 files per run, inputs and stdout/stderr/status included.
+#     (every other fit here runs on simulate's sorted 0..1 data);
+#   - a fit of modified_heavisine at degrees 3,4 on a 700-point grid with
+#     --save-trace, so degree-3 curves go through mean_on off the data grid
+#     and degree 4 runs at all (its degree-3 children are table evaluations).
+# That is 131 files per run, inputs and stdout/stderr/status included.
 # Everything is written under a temporary directory that is removed on exit.
 # Prints each file that differs and exits 1 if any does, 0 otherwise. Exits
 # 2 if both arguments resolve to the same directory, or if a run imports a
@@ -226,6 +229,8 @@ EOF
     run fit_skew fit blocks.csv --config config_skew.txt --out-prefix skew_fit
     run fit_user fit user.csv --degrees 0,1 --grid 300 --iterations 3000 \
         --burn-in 1000 --thin 10 --seed 41 --out-prefix user_fit --save-trace
+    run fit_mh34 fit mh.csv --degrees 3,4 --grid 700 --iterations 2000 \
+        --burn-in 1000 --thin 10 --seed 43 --out-prefix mh34_fit --save-trace
     cd - >/dev/null
 }
 

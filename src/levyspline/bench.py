@@ -46,7 +46,7 @@ def mse(truth, estimate) -> float:
     if truth.shape != estimate.shape or truth.ndim != 1 or len(truth) == 0:
         raise ValueError("truth and estimate must be equal-length non-empty 1-d sequences")
     d = truth - estimate
-    return float(d @ d) / len(d)
+    return float(d.dot(d)) / len(d)
 
 
 def run_replicate(spec: ExperimentSpec, index: int) -> float:

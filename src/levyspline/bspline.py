@@ -75,8 +75,8 @@ def _values(t: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
             b = [_blend(t, i, d, x, b[i], b[i + 1]) for i in range(k + 1 - d)]
         return b[0]
     rows = k + 3
-    table = np.array(_piece_table(t.tolist(), k), dtype=float)
-    g = np.take(table.reshape(rows, rows).T, np.searchsorted(t, x, side="right"), axis=1)
+    table = np.array(_piece_table(t.tolist(), k))  # every entry is a Python float
+    g = table.reshape(rows, rows).T.take(t.searchsorted(x, "right"), axis=1)
     s = x - g[0]
     s /= g[1]
     v = g[-1] * s

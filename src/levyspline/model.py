@@ -183,7 +183,10 @@ def coefficient_scale(data: Dataset) -> float:
 
 def init_state(data: Dataset, hyper: Hyperparams, rng) -> ModelState:
     """Initialize from the prior with beta0 = mean(y) and data-ranged phi."""
-    beta0 = float(data.y.mean())
+    with np.errstate(over="ignore"):  # y's sum can overflow while y's range does not
+        beta0 = float(data.y.mean())
+    if not math.isfinite(beta0):
+        raise ValueError(f"response mean must be finite, got {beta0}")
     phi = coefficient_scale(data)
     components: dict[int, DegreeComponent] = {}
     for k in hyper.degrees:

@@ -69,7 +69,8 @@ def _log(x: float) -> float:
 
 
 def _sumsq(v: np.ndarray) -> float:
-    return float(v @ v)
+    # `.dot` skips the `matmul` gufunc dispatch of `@` and gives the same `ddot` bits
+    return float(v.dot(v))
 
 
 @dataclass(frozen=True)
@@ -196,7 +197,7 @@ class Chain:
     `atoms[k]` is the chain's only store of degree k's atoms: a list of
     plain `(knots, beta, col, cc)` records, `knots` a sorted list of k + 2
     floats, `col` its `basis_values` on the chain's `x` and `cc` the float
-    `col @ col`. `resid` is `y` minus the fit and `rss` its `resid @ resid`.
+    `col·col`. `resid` is `y` minus the fit and `rss` its `resid·resid`.
     `__init__` copies the `(knots, beta)` records of the initial
     `ModelState` (from `init_state`, or a caller's `state`, which has checked
     each record) and rejects a state whose degrees differ from the
@@ -286,7 +287,7 @@ class Chain:
         -(|r - beta c|^2 - |r|^2) / (2 sigma^2), expanded, so no difference
         of two large sums of squares is taken.
         """
-        return beta * (float(self.resid @ col) - 0.5 * beta * cc) / self.sigma2
+        return beta * (float(self.resid.dot(col)) - 0.5 * beta * cc) / self.sigma2
 
     def _accept(self, log_ratio: float) -> bool:
         return math.log(self.draws.random() + TINY) < log_ratio
@@ -359,7 +360,7 @@ class Chain:
         knots, beta, col, cc = self.atoms[k][idx]
         var = 1.0 / (cc / self.sigma2 + 1.0 / self.phi**2)
         # (resid + beta col)·col, the partial residual's, without forming it
-        mean = var * (float(self.resid @ col) + beta * cc) / self.sigma2
+        mean = var * (float(self.resid.dot(col)) + beta * cc) / self.sigma2
         new_beta = self.draws.normal(mean, math.sqrt(var))
         self.atoms[k][idx] = (knots, new_beta, col, cc)
         self._write((new_beta - beta) * col)
@@ -378,22 +379,18 @@ class Chain:
 
     # ---- outer loop -------------------------------------------------------
 
-    def move(self, k: int) -> None:
-        kind = choose_move(self.hyper, len(self.atoms[k]), self.draws)
-        if kind == BIRTH:
-            accepted, _ = self.birth(k)
-        elif kind == DEATH:
-            accepted, _ = self.death(k)
-        else:
-            flags = self.relocate(k)
-            accepted = any(flags)
-        self.attempts[(kind, k)] = self.attempts.get((kind, k), 0) + 1
-        self.accepts[(kind, k)] = self.accepts.get((kind, k), 0) + int(accepted)
-
     def sweep(self) -> None:
         """One move per degree, each followed by its M_k draw, then sigma^2."""
         for k in self.hyper.degrees:
-            self.move(k)
+            kind = choose_move(self.hyper, len(self.atoms[k]), self.draws)
+            if kind == BIRTH:
+                accepted, _ = self.birth(k)
+            elif kind == DEATH:
+                accepted, _ = self.death(k)
+            else:
+                accepted = any(self.relocate(k))
+            self.attempts[(kind, k)] = self.attempts.get((kind, k), 0) + 1
+            self.accepts[(kind, k)] = self.accepts.get((kind, k), 0) + int(accepted)
             self.gibbs_M(k)
         self.gibbs_sigma2()
 

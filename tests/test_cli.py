@@ -377,6 +377,15 @@ class TestFitCommand:
         assert capsys.readouterr().err == (
             "error: response range width must be finite, got (-1e+308, 1e+308)\n")
 
+    def test_overflowing_y_mean_exits_1(self, tmp_path, capsys):
+        # the response range is finite, but y's sum overflows a double
+        path = tmp_path / "heavy.csv"
+        path.write_text("x,y\n0.0,1e308\n0.5,1e308\n1.0,0.0\n")
+        rc = main(["fit", str(path), "--out-prefix", str(tmp_path / "h"),
+                   "--iterations", "100", "--burn-in", "10", "--degrees", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: response mean must be finite, got inf\n"
+
     def test_grid_spans_the_data_x_range(self, tmp_path):
         path = tmp_path / "user.csv"
         path.write_text("x,y\n0.5,1.0\n0.25,0.0\n0.625,3.0\n0.375,2.0\n")

@@ -304,6 +304,14 @@ class TestInitState:
         with pytest.raises(ValueError, match=message):
             init_state(data, Hyperparams((0,)), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("y, mean", [((1e308, 1e308, 0.0), "inf"),
+                                         ((-1e308, -1e308, 0.0), "-inf")])
+    def test_overflowing_response_mean_rejected(self, y, mean):
+        # the range is finite, but y's sum overflows a double
+        data = Dataset(x=np.array([0.0, 0.5, 1.0]), y=np.array(y))
+        with pytest.raises(ValueError, match=f"response mean must be finite, got {mean}"):
+            init_state(data, Hyperparams((0,)), np.random.default_rng(0))
+
     def test_random_components_match_prior_moments(self):
         # r=6, R=1: sigma2 ~ IG(3, 3), mean 1.5; M ~ Ga(2, 1), mean 2;
         # J | M ~ Poi(M) so E[J] = 2, Var[J] = E[M] + Var[M] = 4
