@@ -46,8 +46,11 @@
 #     (every other fit here runs on simulate's sorted 0..1 data);
 #   - a fit of modified_heavisine at degrees 3,4 on a 700-point grid with
 #     --save-trace, so degree-3 curves go through mean_on off the data grid
-#     and degree 4 runs at all (its degree-3 children are table evaluations).
-# That is 131 files per run, inputs and stdout/stderr/status included.
+#     and degree 4 runs at all (its degree-3 children are table evaluations);
+#   - two fits --config with --save-trace, one whose file sets p_birth = 0
+#     and one that sets p_death = 0, so the log of a zero move probability
+#     (-inf) enters the death ratio (J_k > 1) and the birth ratio.
+# That is 145 files per run, inputs and stdout/stderr/status included.
 # Everything is written under a temporary directory that is removed on exit.
 # Prints each file that differs and exits 1 if any does, 0 otherwise. Exits
 # 2 if both arguments resolve to the same directory, or if a run imports a
@@ -160,6 +163,26 @@ thin = 10
 seed = 17
 grid = 300
 EOF
+    cat >config_no_birth.txt <<'EOF'
+degrees = 0,2
+p_birth = 0
+p_death = 0.6
+p_relocate = 0.4
+iterations = 2000
+burn_in = 500
+thin = 5
+seed = 47
+EOF
+    cat >config_no_death.txt <<'EOF'
+degrees = 0,2
+p_birth = 0.6
+p_death = 0
+p_relocate = 0.4
+iterations = 2000
+burn_in = 500
+thin = 5
+seed = 53
+EOF
     cat >user.csv <<'EOF'
 x,y
 -0.2431,0.4779
@@ -231,6 +254,10 @@ EOF
         --burn-in 1000 --thin 10 --seed 41 --out-prefix user_fit --save-trace
     run fit_mh34 fit mh.csv --degrees 3,4 --grid 700 --iterations 2000 \
         --burn-in 1000 --thin 10 --seed 43 --out-prefix mh34_fit --save-trace
+    run fit_no_birth fit blocks.csv --config config_no_birth.txt \
+        --out-prefix no_birth_fit --save-trace
+    run fit_no_death fit blocks.csv --config config_no_death.txt \
+        --out-prefix no_death_fit --save-trace
     cd - >/dev/null
 }
 

@@ -15,10 +15,15 @@ Practical Guide to Splines*, 1978):
     (side="right" never selects a zero-width piece), one gather, one
     shift-and-scale and a Horner loop.
   - Pieces 0..k//2 are anchored at their left knot (H = t_{j+1} - t_j), the
-    rest at their right knot (H = t_j - t_{j+1} < 0), built as left pieces
-    of the mirrored knots -t_{k+1}..-t_0. The end pieces are monomials
-    c_k s^k, exact near the support's ends; at degree 1 that is the Cox-de
-    Boor triangle's own weight quotient, bit for bit.
+    rest at their right knot (H = t_j - t_{j+1} < 0), as left pieces of the
+    mirrored knots -t_{k+1}..-t_0. The end pieces are monomials c_k s^k,
+    exact near the support's ends; at degree 1 that is the Cox-de Boor
+    triangle's own weight quotient, bit for bit.
+  - `_table` builds the table in Python floats, straight-line per degree,
+    from the knots' differences, each taken once. A mirrored piece's
+    difference of negated knots, (-t_a) - (-t_b) = t_b + (-t_a), is the
+    float t_b - t_a, so the table has the bits of building each piece on the
+    mirrored knots (the tests' generic `piece_table`).
   - Every coefficient is built from ratios h / span <= 1, h the piece's
     width, never from 1 / span or a product of spans, which can underflow.
     Every span taken contains the non-empty piece, so it is >= h > 0: no
@@ -41,9 +46,8 @@ nonzero, x lies in its support, so the numerator is already in [0, span]
 can occur, and each sum starts from +0, so no -0 reaches the result.
 Degrees 4-5 are within 6.1e-16 of a Cox-de Boor triangle masked term by
 term on the tests' stress cases (bound 4e-15). A call costs k - 2 table
-evaluations plus about ten numpy calls per blend: at n = 128, 55-125 us at
-degree 4 and 115-180 us at degree 5 (2-vCPU VM, varying with its load), two
-to three times a vectorized triangle's; no workload runs degree >= 4.
+evaluations plus about ten numpy calls per blend, several times a degree-3
+call (`scripts/bench_basis.py` times both); no workload runs degree >= 4.
 
 x must be finite at every degree: outside the support the table has s = x,
 so +-inf or nan gives nan where a triangle gives 0. Callers pass a checked
@@ -75,7 +79,7 @@ def _values(t: np.ndarray, k: int, x: np.ndarray) -> np.ndarray:
             b = [_blend(t, i, d, x, b[i], b[i + 1]) for i in range(k + 1 - d)]
         return b[0]
     rows = k + 3
-    table = np.array(_piece_table(t.tolist(), k))  # every entry is a Python float
+    table = np.array(_table(t.tolist(), k))  # every entry is a Python float
     g = table.reshape(rows, rows).T.take(t.searchsorted(x, "right"), axis=1)
     s = x - g[0]
     s /= g[1]
@@ -100,50 +104,59 @@ def _blend(t: np.ndarray, i: int, d: int, x: np.ndarray,
     return v
 
 
-def _piece_table(t: list[float], k: int) -> list[float]:
-    """The piece table's columns (T, H, c_0..c_k), concatenated, for k = 1-3."""
-    outside = (0.0, 1.0) + (0.0,) * (k + 1)
-    mirror = [-v for v in reversed(t)]
-    flat = list(outside)
-    for j in range(k + 1):
-        lo, hi = t[j], t[j + 1]
-        if lo == hi:
-            flat += outside
-        elif 2 * j <= k:
-            flat += (lo, hi - lo)
-            flat += _left_piece(t, j, k)
+# outside columns: T = 0, H = 1, c = +0
+_OUT1, _OUT2, _OUT3 = ((0.0, 1.0) + (0.0,) * (k + 1) for k in (1, 2, 3))
+
+
+def _table(t: list[float], k: int) -> list[float]:
+    """The piece table's columns (T, H, c_0..c_k), concatenated, for k = 1-3.
+
+    d_ij = t_i - t_j. End piece 0 is c_k s^k with c_k the product of
+    d10 / d_d0 over d = 2..k. Pieces past k // 2 are left pieces of the
+    mirrored knots, whose d_ij is d_{k+1-j,k+1-i} here.
+    """
+    if k == 1:
+        t0, t1, t2 = t
+        return [*_OUT1, *(_OUT1 if t0 == t1 else (t0, t1 - t0, 0.0, 1.0)),
+                *(_OUT1 if t1 == t2 else (t2, t1 - t2, 0.0, 1.0)), *_OUT1]
+    if k == 2:
+        t0, t1, t2, t3 = t
+        d10, d20, d21, d31, d32 = t1 - t0, t2 - t0, t2 - t1, t3 - t1, t3 - t2
+        flat = [*_OUT2]
+        flat += _OUT2 if t0 == t1 else (t0, d10, 0.0, 0.0, d10 / d20)
+        if t1 == t2:
+            flat += _OUT2
         else:
-            flat += (hi, lo - hi)
-            flat += _left_piece(mirror, k - j, k)
-    flat += outside
+            b, e = d21 / d20, d21 / d31
+            flat += (t1, d21, d10 / d20, b + b, -(b + e))
+        flat += _OUT2 if t2 == t3 else (t3, t2 - t3, 0.0, 0.0, d32 / d31)
+        flat += _OUT2
+        return flat
+    t0, t1, t2, t3, t4 = t
+    d10, d20, d30, d21, d31 = t1 - t0, t2 - t0, t3 - t0, t2 - t1, t3 - t1
+    d41, d32, d42, d43 = t4 - t1, t3 - t2, t4 - t2, t4 - t3
+    flat = [*_OUT3]
+    flat += _OUT3 if t0 == t1 else (t0, d10, 0.0, 0.0, 0.0, d10 / d20 * (d10 / d30))
+    flat += _OUT3 if t1 == t2 else (t1, d21, *_cubic(d10, d20, d30, d21, d31, d41, d42))
+    flat += _OUT3 if t2 == t3 else (t3, t2 - t3, *_cubic(d43, d42, d41, d32, d31, d30, d20))
+    flat += _OUT3 if t3 == t4 else (t4, t3 - t4, 0.0, 0.0, 0.0, d43 / d42 * (d43 / d41))
+    flat += _OUT3
     return flat
 
 
-def _left_piece(t: list[float], j: int, k: int) -> tuple[float, ...]:
-    """c_0..c_k of piece j (0, or 1 at k = 2, 3) in s = (x - t_j) / h.
+def _cubic(d10, d20, d30, h, d31, d41, d42) -> tuple[float, float, float, float]:
+    """c_0..c_3 of a cubic's piece 1 in s = (x - t_1) / h, from its knots' differences.
 
-    Piece 0 is (x - t_0)^k / prod_{d=1..k} (t_d - t_0). On piece 1, with
-    h = t_2 - t_1, the quadratic on t_0..t_3 is a + 2b s - (b + e) s^2
-    (a = (t_1 - t_0)/(t_2 - t_0), b = h/(t_2 - t_0), e = h/(t_3 - t_1)), and
-    the cubic is (p + q s) times that plus (t_4 - x)/(t_4 - t_1) e s^2, with
-    p + q s = (x - t_0)/(t_3 - t_0). Its c_3 is B(t_2) - c_0 - c_1 - c_2.
+    d_ij = t_i - t_j and h = d21. The quadratic on t_0..t_3 is
+    a + 2b s - (b + e) s^2 (a = d10/d20, b = h/d20, e = h/d31), and the cubic
+    is (p + q s) times that plus (t_4 - x)/d41 e s^2, with
+    p + q s = (x - t_0)/d30. Its c_3 is B(t_2) - c_0 - c_1 - c_2.
     """
-    h = t[j + 1] - t[j]
-    if j == 0:
-        c = 1.0
-        for d in range(2, k + 1):
-            c *= h / (t[d] - t[0])
-        return (0.0,) * k + (c,)
-    a = (t[1] - t[0]) / (t[2] - t[0])
-    b = h / (t[2] - t[0])
-    e = h / (t[3] - t[1])
-    if k == 2:
-        return a, b + b, -(b + e)
-    p = (t[1] - t[0]) / (t[3] - t[0])
-    q = h / (t[3] - t[0])
+    a, b, e = d10 / d20, h / d20, h / d31
+    p, q = d10 / d30, h / d30
     c0 = p * a
     c1 = p * (b + b) + q * a
     c2 = q * (b + b) - p * (b + e) + e
     # B(t_2): the level-2 bases there are 1 - e and e
-    mid = (t[2] - t[0]) / (t[3] - t[0]) * (1.0 - e) + (t[4] - t[2]) / (t[4] - t[1]) * e
+    mid = d20 / d30 * (1.0 - e) + d42 / d41 * e
     return c0, c1, c2, mid - c0 - c1 - c2

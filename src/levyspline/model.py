@@ -18,7 +18,7 @@ methods.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,6 +83,8 @@ class Hyperparams:
     """Everything held fixed during one chain.
 
     One (a_gamma, b_gamma) pair is the Gamma prior of every degree's rate M_k.
+    `log_pb` and `log_pd` are the logs of the birth and death probabilities
+    (-inf for 0), which every birth and death ratio reads.
     """
 
     degrees: tuple[int, ...]
@@ -91,6 +93,8 @@ class Hyperparams:
     a_gamma: float = 1.0
     b_gamma: float = 1.0
     move_probs: tuple[float, float, float] = (0.4, 0.4, 0.2)
+    log_pb: float = field(init=False, repr=False, compare=False)
+    log_pd: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for k in self.degrees:
@@ -110,10 +114,16 @@ class Hyperparams:
             raise ValueError(
                 f"move probabilities must be finite, >= 0 and sum to 1, got {probs}")
         object.__setattr__(self, "move_probs", probs)
+        object.__setattr__(self, "log_pb", _log(pb))
+        object.__setattr__(self, "log_pd", _log(pd))
 
 
 def _positive(v: float) -> bool:
     return math.isfinite(v) and v > 0
+
+
+def _log(x: float) -> float:
+    return math.log(x) if x > 0 else -math.inf
 
 
 @dataclass(frozen=True)

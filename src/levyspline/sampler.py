@@ -11,18 +11,22 @@ bare likelihood ratio; the relocated atom's coefficient is then re-drawn
 from its Normal full conditional.
 
 `Chain` is the only move kernel and `birth_ratio`/`death_ratio` the only
-acceptance-ratio code. Every likelihood ratio is `Chain._llr`: adding
-`beta * c` to the fit changes the log-likelihood by
-`beta * (r·c - beta * c·c / 2) / sigma^2`, with r the residual. A death
-reads c and c·c from its atom's record, a birth computes c·c with its
-column, and a relocation passes the new column minus the old. Most
-proposals are rejected, and a ratio writes nothing. The residual is the
-chain's only fit state: `Chain._write`, the one place it changes, takes an
-accepted move's delta off it and recomputes its sum of squares. A
-prior-only chain is the same chain fitted to no observations; a
+acceptance-ratio code. What a chain holds fixed is computed once, by the
+same expressions: both ratios read log p_b and log p_d from `Hyperparams`,
+and `Chain.__init__` keeps the M_k draws' Gamma scale 1 / (b_gamma + 1) and
+the sigma^2 draw's r + n and r·R.
+
+Every likelihood ratio is `Chain._llr`: adding `beta * c` to the fit
+changes the log-likelihood by `beta * (r·c - beta * c·c / 2) / sigma^2`,
+with r the residual. A death reads c and c·c from its atom's record, a
+birth computes c·c with its column, and a relocation passes the new column
+minus the old. Most proposals are rejected, and a ratio writes nothing. The
+residual is the chain's only fit state: `Chain._write`, the one place it
+changes, takes an accepted move's delta off it and recomputes its sum of
+squares. A prior-only chain is the same chain fitted to no observations; a
 full-recompute chain differs only in `_write`, which rebuilds every column
-and c·c from its record's knots at each write and takes the residual
-afresh from their sum.
+and c·c from its record's knots at each write and takes the residual afresh
+from their sum.
 
 `run_chain` records a data-grid curve by summing the cached columns
 (`Chain.cached_mean`), which has `mean_on`'s bits; any other grid goes
@@ -55,17 +59,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bspline import basis_values
-from .model import TINY, Dataset, Hyperparams, ModelState, init_state, sample_atom
+from .model import TINY, Dataset, Hyperparams, ModelState, _log, init_state, sample_atom
 
 BIRTH, DEATH, RELOCATE = "birth", "death", "relocate"
 BLOCK = 1024  # uniforms, and standard normals, drawn per `Generator` call
 GAMMA_BLOCK = 16  # standard gammas drawn per `Generator` call, one block per shape
 _BAND_COLUMNS = 64  # grid points per `_quantiles` call in `posterior_curve`
 _TWO53 = 1 << 53  # a uniform is an integer in [0, 2**53) times 2**-53
-
-
-def _log(x: float) -> float:
-    return math.log(x) if x > 0 else -math.inf
 
 
 def _sumsq(v: np.ndarray) -> float:
@@ -241,6 +241,9 @@ class Chain:
                         f"knots {tuple(knots)} lie outside the domain ({lo}, {hi})")
         self.attempts: dict[tuple[str, int], int] = {}
         self.accepts: dict[tuple[str, int], int] = {}
+        self._M_scale = 1.0 / (hyper.b_gamma + 1.0)
+        self._r_n = hyper.r + n
+        self._rR = hyper.r * hyper.R
         self._rebuild_columns()
         self.resid = self.y - self.cached_mean()
         self.rss = _sumsq(self.resid)
@@ -297,7 +300,9 @@ class Chain:
         out = np.full(len(grid), self.beta0)
         for k, atoms in self.atoms.items():
             for knots, beta, *_ in atoms:
-                out += beta * basis_values(knots, k, grid)
+                col = basis_values(knots, k, grid)  # a fresh array, scaled in place
+                col *= beta
+                out += col
         return out
 
     # ---- reversible-jump moves -------------------------------------------
@@ -367,13 +372,11 @@ class Chain:
 
     def gibbs_M(self, k: int):
         a = self.hyper.a_gamma + len(self.atoms[k])
-        b = self.hyper.b_gamma + 1.0
-        self.M[k] = max(self.draws.gamma(a, 1.0 / b), TINY)
+        self.M[k] = max(self.draws.gamma(a, self._M_scale), TINY)
 
     def gibbs_sigma2(self):
-        r, R = self.hyper.r, self.hyper.R
-        r0 = r + len(self.y)
-        R0 = (self.rss + r * R) / r0
+        r0 = self._r_n
+        R0 = (self.rss + self._rR) / r0
         g = self.draws.gamma(r0 / 2.0, 2.0 / max(r0 * R0, TINY))
         self.sigma2 = 1.0 / max(g, TINY)
 
@@ -389,8 +392,9 @@ class Chain:
                 accepted, _ = self.death(k)
             else:
                 accepted = any(self.relocate(k))
-            self.attempts[(kind, k)] = self.attempts.get((kind, k), 0) + 1
-            self.accepts[(kind, k)] = self.accepts.get((kind, k), 0) + int(accepted)
+            key = (kind, k)
+            self.attempts[key] = self.attempts.get(key, 0) + 1
+            self.accepts[key] = self.accepts.get(key, 0) + int(accepted)
             self.gibbs_M(k)
         self.gibbs_sigma2()
 
@@ -400,16 +404,15 @@ class Chain:
 
 def birth_ratio(llr: float, M: float, J: int, hyper: Hyperparams) -> float:
     """Log acceptance ratio of a prior-proposed birth into a component of J atoms."""
-    pb, pd, _ = hyper.move_probs
-    proposal_pb = 1.0 if J == 0 else pb
-    return llr + _log(M) - math.log(J + 1) + _log(pd) - _log(proposal_pb)
+    # log 1 = 0.0 at J = 0, where the birth was forced
+    log_proposal = 0.0 if J == 0 else hyper.log_pb
+    return llr + _log(M) - math.log(J + 1) + hyper.log_pd - log_proposal
 
 
 def death_ratio(llr: float, M: float, J: int, hyper: Hyperparams) -> float:
     """Log acceptance ratio of removing one of a component's J atoms."""
-    pb, pd, _ = hyper.move_probs
-    reverse_pb = 1.0 if J == 1 else pb
-    return llr + math.log(J) - _log(M) + _log(reverse_pb) - _log(pd)
+    log_reverse = 0.0 if J == 1 else hyper.log_pb
+    return llr + math.log(J) - _log(M) + log_reverse - hyper.log_pd
 
 
 def run_chain(data: Dataset, hyper: Hyperparams, cfg: ChainConfig,
@@ -417,16 +420,19 @@ def run_chain(data: Dataset, hyper: Hyperparams, cfg: ChainConfig,
               full_recompute: bool = False) -> ChainOutput:
     """Run the full sampler: init from the prior, sweep, retain thinned samples.
 
-    Curves are recorded on `grid` (the data's `x` by default); an empty
-    `grid` records none. The chain draws from the first child of
-    `cfg.seed`'s `SeedSequence`, not from `generate_dataset`'s stream.
+    Curves are recorded on `grid`, a 1-d array of finite points (the data's
+    `x` by default); an empty `grid` records none. The chain draws from the
+    first child of `cfg.seed`'s `SeedSequence`, not from `generate_dataset`'s
+    stream.
     """
+    grid = data.x if grid is None else np.asarray(grid, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError(f"grid must be 1-d, got shape {grid.shape}")
+    if not np.isfinite(grid).all():
+        raise ValueError("grid contains non-finite values")
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     chain = Chain(data, hyper, rng, prior_only=prior_only,
                   full_recompute=full_recompute)
-    if grid is None:
-        grid = data.x
-    grid = np.asarray(grid, dtype=float)
     on_data = np.array_equal(grid, chain.x)
     curves = np.empty((cfg.retained, len(grid)))
     sigma2_trace = []
@@ -487,10 +493,13 @@ def posterior_curve(out: ChainOutput, levels: tuple[float, float] = (0.025, 0.97
     retained x `_BAND_COLUMNS` doubles, not a copy of the store, and each
     block's is freed before the next is copied; each grid point's quantiles
     see the same column in the same order, so no bit moves. `out.curves` is
-    not modified.
+    not modified. Levels outside [0, 1], or NaN, raise `np.quantile`'s
+    ValueError.
     """
     if out.retained == 0:
         raise ValueError("no retained samples")
+    if not all(0.0 <= q <= 1.0 for q in levels):
+        raise ValueError("Quantiles must be in the range [0, 1]")
     curves = out.curves
     band = np.empty((2, curves.shape[1]))
     for j in range(0, curves.shape[1], _BAND_COLUMNS):

@@ -16,3 +16,13 @@ def full_scale_runner():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def bench_basis():
+    """A fresh import of scripts/bench_basis.py."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_basis", SCRIPTS / "bench_basis.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

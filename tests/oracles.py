@@ -5,6 +5,9 @@ or in closed form: one basis function at a point, its integral, the mean
 function of a whole state, the Gaussian log-likelihood, an atom's log prior,
 and the birth/death log ratios from two full likelihood evaluations. The
 basis's central finite differences serve the smoothness checks.
+`piece_table` is the generic builder of the degree 1-3 piece table, one
+piece at a time on the knots or their mirror image: the bit oracle of
+`bspline`'s straight-line builders.
 
 Knots are a raw non-descending sequence and an atom a `(knots, beta)`
 record, as in `ModelState`; the degree is `len(knots) - 2`.
@@ -103,3 +106,56 @@ def death_log_ratio(state: ModelState, k: int, r: int, data: Dataset,
 def _with_atoms(state: ModelState, k: int, atoms: list) -> ModelState:
     comp = dataclasses.replace(state.components[k], atoms=list(atoms))
     return dataclasses.replace(state, components={**state.components, k: comp})
+
+
+def piece_table(t: list[float], k: int) -> list[float]:
+    """The piece table's columns (T, H, c_0..c_k), concatenated, for k = 1-3.
+
+    Pieces 0..k//2 are left pieces of t; the rest are left pieces of the
+    mirrored knots -t_{k+1}..-t_0, anchored at their right knot.
+    """
+    outside = (0.0, 1.0) + (0.0,) * (k + 1)
+    mirror = [-v for v in reversed(t)]
+    flat = list(outside)
+    for j in range(k + 1):
+        lo, hi = t[j], t[j + 1]
+        if lo == hi:
+            flat += outside
+        elif 2 * j <= k:
+            flat += (lo, hi - lo)
+            flat += _left_piece(t, j, k)
+        else:
+            flat += (hi, lo - hi)
+            flat += _left_piece(mirror, k - j, k)
+    flat += outside
+    return flat
+
+
+def _left_piece(t: list[float], j: int, k: int) -> tuple[float, ...]:
+    """c_0..c_k of piece j (0, or 1 at k = 2, 3) in s = (x - t_j) / h.
+
+    Piece 0 is (x - t_0)^k / prod_{d=1..k} (t_d - t_0). On piece 1, with
+    h = t_2 - t_1, the quadratic on t_0..t_3 is a + 2b s - (b + e) s^2
+    (a = (t_1 - t_0)/(t_2 - t_0), b = h/(t_2 - t_0), e = h/(t_3 - t_1)), and
+    the cubic is (p + q s) times that plus (t_4 - x)/(t_4 - t_1) e s^2, with
+    p + q s = (x - t_0)/(t_3 - t_0). Its c_3 is B(t_2) - c_0 - c_1 - c_2.
+    """
+    h = t[j + 1] - t[j]
+    if j == 0:
+        c = 1.0
+        for d in range(2, k + 1):
+            c *= h / (t[d] - t[0])
+        return (0.0,) * k + (c,)
+    a = (t[1] - t[0]) / (t[2] - t[0])
+    b = h / (t[2] - t[0])
+    e = h / (t[3] - t[1])
+    if k == 2:
+        return a, b + b, -(b + e)
+    p = (t[1] - t[0]) / (t[3] - t[0])
+    q = h / (t[3] - t[0])
+    c0 = p * a
+    c1 = p * (b + b) + q * a
+    c2 = q * (b + b) - p * (b + e) + e
+    # B(t_2): the level-2 bases there are 1 - e and e
+    mid = (t[2] - t[0]) / (t[3] - t[0]) * (1.0 - e) + (t[4] - t[2]) / (t[4] - t[1]) * e
+    return c0, c1, c2, mid - c0 - c1 - c2

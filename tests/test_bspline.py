@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -6,11 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from pytest import approx
 
-from levyspline.bspline import basis_values
+from levyspline.bspline import _table, basis_values
 from levyspline.model import Dataset, Hyperparams
 from levyspline.sampler import Chain
 from oracles import (basis_integral, eval_basis, eval_mean, finite_difference,
-                     make_state)
+                     make_state, piece_table)
 
 
 def quadrature_integral(knots, order=8):
@@ -209,6 +210,36 @@ class TestEvalBasis:
                 got = basis_values(t, degree, x)
                 assert not np.signbit(got).any(), t
                 assert (got >= 0.0).all() and (got <= 1.0 + 1e-12).all(), t
+
+
+class TestPieceTable:
+    """The straight-line degree 1-3 table builders against the generic one, bit for bit."""
+
+    @staticmethod
+    def _assert_same(t: list[float], degree: int):
+        got = np.array(_table(t, degree))
+        want = np.array(piece_table(t, degree))
+        assert got.tobytes() == want.tobytes(), (degree, t)
+
+    def test_oracle_cases(self):
+        count = 0
+        for degree, t, _ in _oracle_cases():
+            if 1 <= degree <= 3:
+                self._assert_same(t.tolist(), degree)
+                count += 1
+        assert count == 3 * 4 * 8 * 24
+
+    def test_coincident_and_near_coincident_knots(self):
+        # every knot vector over values with exact ties (both zeros among
+        # them), one-ulp gaps and subnormal gaps
+        values = (-0.5, -0.0, 0.0, 5e-324, 1e-310, 1e-300, 0.25,
+                  math.nextafter(0.25, 1.0), 0.5, math.nextafter(0.5, 1.0), 1.0, 1e3)
+        count = 0
+        for degree in (1, 2, 3):
+            for t in itertools.combinations_with_replacement(values, degree + 2):
+                self._assert_same(list(t), degree)
+                count += 1
+        assert count == math.comb(14, 3) + math.comb(15, 4) + math.comb(16, 5)
 
 
 class TestBasisIntegral:

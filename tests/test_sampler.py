@@ -644,6 +644,24 @@ class TestRunChain:
             retained += 1
         assert retained == out.retained == 200
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_rejected(self, bad):
+        # a degree-1 atom over a NaN point gives a NaN curve, and a numpy
+        # warning on the way; the grid is rejected before the chain starts
+        data = generate_dataset("blocks", 16, 3.0, seed=7)
+        grid = np.linspace(0.0, 1.0, 5)
+        grid[2] = bad
+        with pytest.raises(ValueError, match="grid contains non-finite values"):
+            run_chain(data, Hyperparams((0, 1)), ChainConfig(iterations=5, seed=1),
+                      grid=grid)
+
+    @pytest.mark.parametrize("grid", [np.zeros((2, 3)), np.float64(0.5)],
+                             ids=["2-d", "0-d"])
+    def test_grid_must_be_one_dimensional(self, grid):
+        data = generate_dataset("blocks", 16, 3.0, seed=7)
+        with pytest.raises(ValueError, match=r"grid must be 1-d, got shape \("):
+            run_chain(data, HYPER0, ChainConfig(iterations=5, seed=1), grid=grid)
+
     @pytest.mark.parametrize("degrees", [(0,), (0, 1, 2), (0, 2), (1, 2)],
                              ids=["missing", "extra", "other", "shifted"])
     def test_state_degrees_must_match_hyper(self, degrees):
@@ -973,6 +991,18 @@ class TestPosteriorCurve:
             assert np.isnan(lo[[3, 64, 129]]).all() and np.isnan(hi[[3, 64, 129]]).all()
             assert lo.tobytes() == want[0].tobytes()
             assert hi.tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("levels", [(-0.1, 0.5), (0.5, 1.5), (math.nan, 0.5),
+                                        (0.5, math.nan)])
+    @pytest.mark.parametrize("width", [0, 3])
+    def test_levels_outside_unit_interval_rejected(self, levels, width):
+        # `np.quantile`'s own check and message, on an empty grid too
+        curves = np.random.default_rng(26).standard_normal((4, width))
+        message = r"Quantiles must be in the range \[0, 1\]"
+        with pytest.raises(ValueError, match=message):
+            np.quantile(curves, levels, axis=0)
+        with pytest.raises(ValueError, match=message):
+            posterior_curve(self._out(curves), levels=levels)
 
     def test_empty_retained_rejected(self):
         out = run_chain(generate_dataset("blocks", 8, 3.0, seed=13),
