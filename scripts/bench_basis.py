@@ -1,20 +1,19 @@
 #!/usr/bin/env python3
 """Time `bspline.basis_values` of two source trees in one process.
 
-usage: scripts/bench_basis.py PARENT_SRC CHANGE_SRC [--rounds R] [--calls C]
-                              [--seed S] [--degrees 0,1,...] [--sizes 128,512]
+usage: scripts/bench_basis.py PARENT_SRC CHANGE_SRC
 
 Imports the `levyspline` package of each `src/` directory under its own name
-(`parent_levyspline`, `change_levyspline`). For each degree and each n, it
-draws C knot vectors (k + 2 sorted uniforms on [0, 1], as Python floats, as
-the sampler passes them) and evaluates them on an n-point grid over [0, 1].
-A round times the C calls of one tree, then the C calls of the other; the
-tree that goes first alternates from round to round. Prints, per degree and
-n, each tree's median and quartiles of the per-call time over R rounds (µs),
-the ratio of the medians (change / parent), and whether the two trees' C
-outputs are byte-identical; exits 1 if any row's are not. The same
-directory may be passed twice, which shows the noise of the measurement
-itself.
+(`parent_levyspline`, `change_levyspline`). For each degree in `DEGREES` and
+each n in `SIZES`, it draws `CALLS` knot vectors (k + 2 sorted uniforms on
+[0, 1], as Python floats, as the sampler passes them) and evaluates them on
+an n-point grid over [0, 1]. A round times the calls of one tree, then the
+calls of the other; the tree that goes first alternates from round to round.
+Prints, per degree and n, each tree's median and quartiles of the per-call
+time over `ROUNDS` rounds (µs), the ratio of the medians (change / parent),
+and whether the two trees' outputs are byte-identical; exits 1 if any row's
+are not. The same directory may be passed twice, which shows the noise of
+the measurement itself.
 """
 
 from __future__ import annotations
@@ -27,6 +26,12 @@ import time
 from pathlib import Path
 
 import numpy as np
+
+ROUNDS = 31
+CALLS = 200
+SEED = 0
+DEGREES = (0, 1, 2, 3, 4, 5)
+SIZES = (128, 512)
 
 
 def load_bspline(name: str, src: str):
@@ -75,25 +80,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
-    parser.add_argument("--rounds", type=int, default=15)
-    parser.add_argument("--calls", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--degrees", default="0,1,2,3,4,5")
-    parser.add_argument("--sizes", default="128,512")
     args = parser.parse_args(argv)
-    if args.rounds < 1 or args.calls < 1:
-        parser.error("--rounds and --calls must be positive")
     parent = load_bspline("parent_levyspline", args.parent_src)
     change = load_bspline("change_levyspline", args.change_src)
-    rng = np.random.default_rng(args.seed)
-    print(f"per-call µs, median (q1-q3) over {args.rounds} rounds of "
-          f"{args.calls} calls")
+    rng = np.random.default_rng(SEED)
+    print(f"per-call µs, median (q1-q3) over {ROUNDS} rounds of {CALLS} calls")
     print(f"{'degree':>6} {'n':>5}  {'parent':>24}  {'change':>24}  "
           f"{'ratio':>6}  identical")
     all_identical = True
-    for degree in map(int, args.degrees.split(",")):
-        for n in map(int, args.sizes.split(",")):
-            row = compare(parent, change, degree, n, args.rounds, args.calls, rng)
+    for degree in DEGREES:
+        for n in SIZES:
+            row = compare(parent, change, degree, n, ROUNDS, CALLS, rng)
             cells = [f"{q[1]:8.2f} ({q[0]:6.2f}-{q[2]:6.2f})"
                      for q in (row["quartiles"]["parent"], row["quartiles"]["change"])]
             print(f"{degree:>6} {n:>5}  {cells[0]:>24}  {cells[1]:>24}  "

@@ -114,15 +114,16 @@ class Hyperparams:
             raise ValueError(
                 f"move probabilities must be finite, >= 0 and sum to 1, got {probs}")
         object.__setattr__(self, "move_probs", probs)
-        object.__setattr__(self, "log_pb", _log(pb))
-        object.__setattr__(self, "log_pd", _log(pd))
+        object.__setattr__(self, "log_pb", safe_log(pb))
+        object.__setattr__(self, "log_pd", safe_log(pd))
 
 
 def _positive(v: float) -> bool:
     return math.isfinite(v) and v > 0
 
 
-def _log(x: float) -> float:
+def safe_log(x: float) -> float:
+    """log x, and -inf at x = 0."""
     return math.log(x) if x > 0 else -math.inf
 
 

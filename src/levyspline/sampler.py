@@ -8,25 +8,22 @@ the matching reverse-birth probability inside a death ratio at J_k = 1).
 Relocation proposes each knot uniformly between its neighbors, an interval
 identical for the forward and reverse moves, so its acceptance ratio is the
 bare likelihood ratio; the relocated atom's coefficient is then re-drawn
-from its Normal full conditional.
+from its Normal full conditional. Both acceptance ratios read log p_b
+and log p_d from `Hyperparams`, which takes them once per chain.
 
 `Chain` is the only move kernel and `birth_ratio`/`death_ratio` the only
-acceptance-ratio code. What a chain holds fixed is computed once, by the
-same expressions: both ratios read log p_b and log p_d from `Hyperparams`,
-and `Chain.__init__` keeps the M_k draws' Gamma scale 1 / (b_gamma + 1) and
-the sigma^2 draw's r + n and r·R.
-
-Every likelihood ratio is `Chain._llr`: adding `beta * c` to the fit
-changes the log-likelihood by `beta * (r·c - beta * c·c / 2) / sigma^2`,
-with r the residual. A death reads c and c·c from its atom's record, a
-birth computes c·c with its column, and a relocation passes the new column
-minus the old. Most proposals are rejected, and a ratio writes nothing. The
-residual is the chain's only fit state: `Chain._write`, the one place it
-changes, takes an accepted move's delta off it and recomputes its sum of
-squares. A prior-only chain is the same chain fitted to no observations; a
+acceptance-ratio code. Every likelihood ratio is `Chain._llr`: adding
+`beta * c` to the fit changes the log-likelihood by
+`beta * (r·c - beta * c·c / 2) / sigma^2`, with r the residual. A death
+reads c and c·c from its atom's record, a birth computes c·c with its
+column, and a relocation passes the new column minus the old. Most
+proposals are rejected, and a ratio writes nothing. The residual is the
+chain's only fit state: `Chain._write`, the one place it changes, takes an
+accepted move's delta off it and recomputes its sum of squares. A
+prior-only chain is the same chain fitted to no observations; a
 full-recompute chain differs only in `_write`, which rebuilds every column
-and c·c from its record's knots at each write and takes the residual afresh
-from their sum.
+and c·c from its record's knots at each write and takes the residual
+afresh from their sum.
 
 `run_chain` records a data-grid curve by summing the cached columns
 (`Chain.cached_mean`), which has `mean_on`'s bits; any other grid goes
@@ -59,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bspline import basis_values
-from .model import TINY, Dataset, Hyperparams, ModelState, _log, init_state, sample_atom
+from .model import TINY, Dataset, Hyperparams, ModelState, init_state, safe_log, sample_atom
 
 BIRTH, DEATH, RELOCATE = "birth", "death", "relocate"
 BLOCK = 1024  # uniforms, and standard normals, drawn per `Generator` call
@@ -241,9 +238,6 @@ class Chain:
                         f"knots {tuple(knots)} lie outside the domain ({lo}, {hi})")
         self.attempts: dict[tuple[str, int], int] = {}
         self.accepts: dict[tuple[str, int], int] = {}
-        self._M_scale = 1.0 / (hyper.b_gamma + 1.0)
-        self._r_n = hyper.r + n
-        self._rR = hyper.r * hyper.R
         self._rebuild_columns()
         self.resid = self.y - self.cached_mean()
         self.rss = _sumsq(self.resid)
@@ -300,9 +294,7 @@ class Chain:
         out = np.full(len(grid), self.beta0)
         for k, atoms in self.atoms.items():
             for knots, beta, *_ in atoms:
-                col = basis_values(knots, k, grid)  # a fresh array, scaled in place
-                col *= beta
-                out += col
+                out += beta * basis_values(knots, k, grid)
         return out
 
     # ---- reversible-jump moves -------------------------------------------
@@ -372,11 +364,13 @@ class Chain:
 
     def gibbs_M(self, k: int):
         a = self.hyper.a_gamma + len(self.atoms[k])
-        self.M[k] = max(self.draws.gamma(a, self._M_scale), TINY)
+        b = self.hyper.b_gamma + 1.0
+        self.M[k] = max(self.draws.gamma(a, 1.0 / b), TINY)
 
     def gibbs_sigma2(self):
-        r0 = self._r_n
-        R0 = (self.rss + self._rR) / r0
+        r, R = self.hyper.r, self.hyper.R
+        r0 = r + len(self.y)
+        R0 = (self.rss + r * R) / r0
         g = self.draws.gamma(r0 / 2.0, 2.0 / max(r0 * R0, TINY))
         self.sigma2 = 1.0 / max(g, TINY)
 
@@ -406,13 +400,13 @@ def birth_ratio(llr: float, M: float, J: int, hyper: Hyperparams) -> float:
     """Log acceptance ratio of a prior-proposed birth into a component of J atoms."""
     # log 1 = 0.0 at J = 0, where the birth was forced
     log_proposal = 0.0 if J == 0 else hyper.log_pb
-    return llr + _log(M) - math.log(J + 1) + hyper.log_pd - log_proposal
+    return llr + safe_log(M) - math.log(J + 1) + hyper.log_pd - log_proposal
 
 
 def death_ratio(llr: float, M: float, J: int, hyper: Hyperparams) -> float:
     """Log acceptance ratio of removing one of a component's J atoms."""
     log_reverse = 0.0 if J == 1 else hyper.log_pb
-    return llr + math.log(J) - _log(M) + log_reverse - hyper.log_pd
+    return llr + math.log(J) - safe_log(M) + log_reverse - hyper.log_pd
 
 
 def run_chain(data: Dataset, hyper: Hyperparams, cfg: ChainConfig,
