@@ -65,7 +65,7 @@ def chain_statistics(src: str) -> dict[str, dict[str, list[float]]]:
     sys.path.insert(0, src)
     import levyspline
     from levyspline import (ChainConfig, Hyperparams, eval_test_function,
-                            generate_dataset, mse, posterior_curve, run_chain)
+                            generate_dataset, mse, run_chain)
 
     loaded = Path(levyspline.__file__).resolve()
     print(f"{src}: imported {loaded}", file=sys.stderr)
@@ -84,7 +84,7 @@ def chain_statistics(src: str) -> dict[str, dict[str, list[float]]]:
             cfg = ChainConfig(iterations=wl["iterations"], burn_in=wl["burn_in"],
                               thin=wl["thin"], seed=seed)
             chain = run_chain(data, hyper, cfg, grid=grid)
-            mean, _, _ = posterior_curve(chain)
+            mean = chain.curves.mean(axis=0)
             values = {"mse": mse(truth, mean[: data.n]),
                       "sigma2": float(chain.sigma2.mean())}
             values.update((f"J_{k}", float(chain.J[k].mean())) for k in wl["degrees"])

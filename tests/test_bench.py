@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from levyspline.bench import (
 )
 from levyspline.model import Hyperparams
 from levyspline.reference import REFERENCE_MSE, STUDY_HYPERPARAMS, reference_mse
-from levyspline.sampler import ChainConfig
+from levyspline.sampler import ChainConfig, posterior_curve, run_chain
+from levyspline.signals import eval_test_function, generate_dataset, sample_grid
 
 
 def small_spec(**over):
@@ -71,6 +73,18 @@ class TestRunExperiment:
         mses = run_experiment(spec)
         assert mses[0] == run_replicate(spec, 0)
         assert mses[1] == run_replicate(spec, 1)
+
+    def test_replicate_scores_the_posterior_mean(self):
+        # replicate i fits data and chain on seed ^ i and scores the posterior
+        # mean curve against the truth on the sample grid, to the last bit
+        spec = small_spec(hyper=Hyperparams((0, 2)))
+        truth = eval_test_function(spec.function, sample_grid(spec.n))
+        for i in (0, 1):
+            seed = spec.chain.seed ^ i
+            data = generate_dataset(spec.function, spec.n, spec.rsnr, seed)
+            out = run_chain(data, spec.hyper, replace(spec.chain, seed=seed))
+            expected = mse(truth, posterior_curve(out)[0])
+            assert run_replicate(spec, i).hex() == expected.hex()
 
     def test_deterministic(self):
         spec = small_spec()

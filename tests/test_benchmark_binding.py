@@ -3,11 +3,12 @@
 `perfbench/tracer.py` wraps functions and `Chain` methods by name and checks
 each chain's `basis_values` count against the count the sampler implies. This
 runs a short traced `fit` in a fresh process, off the data grid and on it,
-so a refactor that renames a bound name, draws an atom other than through
-`sample_atom`, or changes how many basis columns a move or a recorded curve
-evaluates fails here. The fit runs degree 4 too, whose basis is built from
-degree-3 children: a build that went through the wrapped `basis_values`
-would add calls the count does not expect.
+and a short traced two-replicate `benchmark`, so a refactor that renames a
+bound name, draws an atom other than through `sample_atom`, or changes how
+many basis columns a move, a recorded curve or a replicate evaluates fails
+here. The fit runs degree 4 too, whose basis is built from degree-3
+children: a build that went through the wrapped `basis_values` would add
+calls the count does not expect.
 """
 
 import json
@@ -38,20 +39,40 @@ assert main(["fit", out + "/data.csv", "--out-prefix", out + "/fit",
 tracer.dump(out + "/spans.json")
 """
 
+TRACED_BENCHMARK = """
+import sys
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install()
+from levyspline.cli import main
+
+out = sys.argv[1]
+with open(out + "/spec.txt", "w") as fh:
+    fh.write("function = heavisine\\nn = 64\\nrsnr = 10\\nreplicates = 2\\n"
+             "degrees = 0,2\\niterations = 200\\nburn_in = 100\\nthin = 5\\nseed = 3\\n")
+assert main(["benchmark", out + "/spec.txt", "--out", out + "/table.csv"]) == 0
+tracer.dump(out + "/spans.json")
+"""
+
+
+def _traced_spans(script: str, out: pathlib.Path, *args: str) -> Spans:
+    path = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src"),
+                            os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", script, str(out), *args],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return Spans(json.loads((out / "spans.json").read_text()))
+
 
 def test_traced_fit_matches_basis_count_identity(tmp_path):
     # --grid 97 records curves through `Chain.mean_on`; --grid 0 records them
     # on the data grid from the cached columns, with no `mean_on` call
-    path = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src"),
-                            os.environ.get("PYTHONPATH", "")])
     for grid, mean_on_calls in (("97", 30), ("0", 0)):
         out = tmp_path / f"grid{grid}"
         out.mkdir()
-        proc = subprocess.run([sys.executable, "-c", TRACED_FIT, str(out), grid],
-                              env={**os.environ, "PYTHONPATH": path},
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        spans = Spans(json.loads((out / "spans.json").read_text()))
+        spans = _traced_spans(TRACED_FIT, out, grid)
         assert len(spans.where("sampler.run_chain")) == 1
         assert len(spans.where("sampler.sweep")) == 200
         for name in ("sampler.birth", "sampler.death", "sampler.relocate",
@@ -64,3 +85,12 @@ def test_traced_fit_matches_basis_count_identity(tmp_path):
         assert len(spans.where("model.sample_atom")) == \
             len(spans.where("sampler.birth")) + initial, grid
         assert basis_count_mismatches(spans) == [], grid
+
+
+def test_traced_benchmark_matches_basis_count_identity(tmp_path):
+    # each replicate is one chain of its own, scored on the data grid
+    spans = _traced_spans(TRACED_BENCHMARK, tmp_path)
+    assert len(spans.where("bench.run_replicate")) == 2
+    assert len(spans.where("sampler.run_chain")) == 2
+    assert len(spans.where("sampler.sweep")) == 400
+    assert basis_count_mismatches(spans) == []
