@@ -49,8 +49,11 @@
 #     and degree 4 runs at all (its degree-3 children are table evaluations);
 #   - two fits --config with --save-trace, one whose file sets p_birth = 0
 #     and one that sets p_death = 0, so the log of a zero move probability
-#     (-inf) enters the death ratio (J_k > 1) and the birth ratio.
-# That is 145 files per run, inputs and stdout/stderr/status included.
+#     (-inf) enters the death ratio (J_k > 1) and the birth ratio;
+#   - a noiseless simulate (doppler n=64, --rsnr inf) without --truth-out,
+#     so its truth goes to the default noiseless_truth.csv (every other
+#     simulate here names its truth file).
+# That is 150 files per run, inputs and stdout/stderr/status included.
 # Everything is written under a temporary directory that is removed on exit.
 # Prints each file that differs and exits 1 if any does, 0 otherwise. Exits
 # 2 if both arguments resolve to the same directory, or if a run imports a
@@ -258,6 +261,7 @@ EOF
         --out-prefix no_birth_fit --save-trace
     run fit_no_death fit blocks.csv --config config_no_death.txt \
         --out-prefix no_death_fit --save-trace
+    run sim_noiseless simulate doppler --n 64 --rsnr inf --seed 3 --out noiseless.csv
     cd - >/dev/null
 }
 

@@ -2,7 +2,7 @@
 
 Each replicate draws its own dataset and chain seed as the base seed
 (`ExperimentSpec.chain.seed`) XOR replicate index, fits the sampler, and
-scores the posterior mean curve against the noiseless truth on the sample
+scores the posterior mean curve against the noiseless truth on the dataset's
 grid.
 """
 
@@ -20,7 +20,7 @@ from .model import Hyperparams
 from .reference import reference_mse
 # unused here, but perfbench's tracer wraps `bench.posterior_curve` by name
 from .sampler import ChainConfig, posterior_curve, run_chain
-from .signals import eval_test_function, generate_dataset, sample_grid
+from .signals import eval_test_function, generate_dataset
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def mse(truth, estimate) -> float:
 def run_replicate(spec: ExperimentSpec, index: int) -> float:
     seed = spec.chain.seed ^ index
     data = generate_dataset(spec.function, spec.n, spec.rsnr, seed)
-    truth = eval_test_function(spec.function, sample_grid(spec.n))
+    truth = eval_test_function(spec.function, data.x)
     out = run_chain(data, spec.hyper, replace(spec.chain, seed=seed))
     return mse(truth, out.curves.mean(axis=0))  # posterior_curve's mean, without its band
 

@@ -20,7 +20,7 @@ import numpy as np
 from .bench import ExperimentSpec, emit_table, run_experiment
 from .model import Dataset, DegenerateDataError, Hyperparams
 from .sampler import ChainConfig, _quantiles, posterior_curve, run_chain
-from .signals import TEST_FUNCTIONS, eval_test_function, generate_dataset, sample_grid
+from .signals import TEST_FUNCTIONS, eval_test_function, generate_dataset
 
 
 def fmt(v: float) -> str:
@@ -179,12 +179,10 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
 
 
 def cmd_simulate(args) -> int:
-    x = sample_grid(args.n)
-    truth = eval_test_function(args.function, x)
     data = generate_dataset(args.function, args.n, args.rsnr, args.seed)
     write_csv(args.out, "x,y", data.x, data.y)
     truth_path = args.truth_out or _with_suffix(args.out, "_truth")
-    write_csv(truth_path, "x,f", x, truth)
+    write_csv(truth_path, "x,f", data.x, eval_test_function(args.function, data.x))
     print(f"wrote {args.out} and {truth_path}")
     return 0
 

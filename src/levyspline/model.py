@@ -178,27 +178,20 @@ def sample_atom(k: int, phi: float, domain: tuple[float, float],
     return sorted([lo + span * rng.random() for _ in range(k + 2)]), beta
 
 
-def coefficient_scale(data: Dataset) -> float:
-    """phi = half the observed response range, shared by every degree."""
+def init_state(data: Dataset, hyper: Hyperparams, rng) -> ModelState:
+    """Initialize from the prior, with beta0 = mean(y) and phi = half y's range."""
+    with np.errstate(over="ignore"):  # y's sum can overflow while y's range does not
+        beta0 = float(data.y.mean())
+    if not math.isfinite(beta0):
+        raise ValueError(f"response mean must be finite, got {beta0}")
     lo, hi = float(data.y.min()), float(data.y.max())
     spread = hi - lo  # Python floats: an overflow is inf, not a numpy warning
     if not math.isfinite(spread):
         raise ValueError(f"response range width must be finite, got ({lo}, {hi})")
     if spread <= 0:
-        raise DegenerateDataError(
-            "y is constant: coefficient prior scale would be 0; "
-            "an intercept-only fit needs no atoms"
-        )
-    return 0.5 * spread
-
-
-def init_state(data: Dataset, hyper: Hyperparams, rng) -> ModelState:
-    """Initialize from the prior with beta0 = mean(y) and data-ranged phi."""
-    with np.errstate(over="ignore"):  # y's sum can overflow while y's range does not
-        beta0 = float(data.y.mean())
-    if not math.isfinite(beta0):
-        raise ValueError(f"response mean must be finite, got {beta0}")
-    phi = coefficient_scale(data)
+        raise DegenerateDataError("y is constant: coefficient prior scale would be 0; "
+                                  "an intercept-only fit needs no atoms")
+    phi = 0.5 * spread
     components: dict[int, DegreeComponent] = {}
     for k in hyper.degrees:
         M = float(rng.gamma(hyper.a_gamma, 1.0 / hyper.b_gamma))

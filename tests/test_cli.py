@@ -224,6 +224,9 @@ class TestSimulateCommand:
         assert len(truth_lines) == 65
         f = np.array([float(l.split(",")[1]) for l in truth_lines[1:]])
         assert f == approx(eval_test_function("blocks", sample_grid(64)))
+        # the truth is written on the data's own grid, to the same digits
+        data_x = [l.split(",")[0] for l in (tmp_path / "blocks.csv").read_text().splitlines()]
+        assert [l.split(",")[0] for l in truth_lines] == data_x
 
     def test_truth_identical_across_seeds(self, tmp_path):
         for seed in (1, 2):
