@@ -3,10 +3,10 @@
 #
 # usage: scripts/compare_outputs.sh PARENT_SRC CHANGE_SRC
 #
-# Runs one fixed set of levyspline commands with PARENT_SRC on PYTHONPATH and
-# again with CHANGE_SRC (each a `src/` directory), then compares every file
-# the two runs wrote, including each command's stdout, stderr and exit
-# status. The set:
+# Runs one fixed set of levyspline commands twice at once, in two background
+# shells: one with PARENT_SRC on PYTHONPATH, one with CHANGE_SRC (each a
+# `src/` directory). When both have ended it compares every file the two runs
+# wrote, including each command's stdout, stderr and exit status. The set:
 #   - simulate blocks n=128, then fit it at degree 0 on a 1024-point grid
 #     with --save-trace and --dump-config, and at degrees 0,2 on a
 #     1000-point grid, which ends inside a block of posterior_curve's band
@@ -53,12 +53,12 @@
 #   - a noiseless simulate (doppler n=64, --rsnr inf) without --truth-out,
 #     so its truth goes to the default noiseless_truth.csv (every other
 #     simulate here names its truth file).
-# That is 150 files per run, inputs and stdout/stderr/status included.
 # Everything is written under a temporary directory that is removed on exit.
-# Prints each file that differs and exits 1 if any does, 0 otherwise. Exits
-# 2 if both arguments resolve to the same directory, or if a run imports a
-# `levyspline` from outside its own source tree (it prints the file each run
-# imported).
+# Prints how many files a run wrote (inputs and stdout/stderr/status
+# included) and each file that differs, and exits 1 if any does, 0 otherwise.
+# Exits 2 if both arguments resolve to the same directory, or if either run
+# fails, e.g. by importing a `levyspline` from outside its own source tree
+# (each run prints the file it imported).
 set -eu
 
 if [ $# -ne 2 ]; then
@@ -262,11 +262,21 @@ EOF
     run fit_no_death fit blocks.csv --config config_no_death.txt \
         --out-prefix no_death_fit --save-trace
     run sim_noiseless simulate doppler --n 64 --rsnr inf --seed 3 --out noiseless.csv
-    cd - >/dev/null
 }
 
-run_set "$parent_src" "$work/parent"
-run_set "$change_src" "$work/change"
+# each set runs in its own background subshell, so its `cd` and `exit` stay there
+run_set "$parent_src" "$work/parent" &
+parent_pid=$!
+run_set "$change_src" "$work/change" &
+change_pid=$!
+parent_status=0
+wait "$parent_pid" || parent_status=$?
+change_status=0
+wait "$change_pid" || change_status=$?
+if [ "$parent_status" -ne 0 ] || [ "$change_status" -ne 0 ]; then
+    echo "error: a run failed (parent status $parent_status, change status $change_status)" >&2
+    exit 2
+fi
 
 cd "$work"
 files=$(ls parent | wc -l)

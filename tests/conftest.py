@@ -26,3 +26,13 @@ def bench_basis():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def perf_pairs():
+    """A fresh import of scripts/perf_pairs.py."""
+    spec = importlib.util.spec_from_file_location(
+        "perf_pairs", SCRIPTS / "perf_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -788,6 +788,25 @@ class TestRunChain:
             attempts = sum(n for (_, deg), n in out.attempts.items() if deg == k)
             assert attempts == cfg.iterations
 
+    def test_record_schedule(self):
+        # 53 - 10 sweeps after burn-in hold 10 rows of 4 and 3 trailing
+        # sweeps: each row is the state after its own thin-th sweep, as the
+        # replayed chain's modular test picks it, and the trailing sweeps
+        # still count in the move tallies
+        data = generate_dataset("modified_heavisine", 32, 3.0, seed=22)
+        hyper = Hyperparams((0, 2))
+        cfg = ChainConfig(iterations=53, burn_in=10, thin=4, seed=23)
+        out = run_chain(data, hyper, cfg)
+        rows = 0
+        for i, chain in enumerate(replay_chain(data, hyper, cfg)):
+            assert out.sigma2[i] == chain.sigma2
+            for k in hyper.degrees:
+                assert out.J[k][i] == len(chain.atoms[k])
+                assert out.M[k][i] == chain.M[k]
+            rows += 1
+        assert rows == out.retained == len(out.curves) == 10
+        assert sum(out.attempts.values()) == 53 * 2
+
 
 class TestResidualCache:
     @pytest.mark.parametrize("mode", [{}, {"full_recompute": True}],
@@ -903,6 +922,19 @@ class TestPosteriorCurve:
         mean, lo, hi = posterior_curve(out)
         assert mean == approx([1.0, 2.0, 3.0])
         assert lo == approx(mean) and hi == approx(mean)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 1: the data endpoints are never fit, "
+                       "so the curve there is beta0 in every sample")
+    def test_band_has_width_at_the_data_endpoints(self):
+        # knots are drawn on the closed data range and a basis's support is
+        # half-open, so no atom covers x = 1 and only a knot landing exactly
+        # on 0 covers x = 0; the fix widens the knot domain past the data
+        data = generate_dataset("blocks", 128, 3.0, 7)
+        assert (data.x[0], data.x[-1]) == (0.0, 1.0)
+        out = run_chain(data, HYPER0, ChainConfig(3000, 1000, 5, seed=7))
+        _, lo, hi = posterior_curve(out)
+        assert hi[0] - lo[0] > 0 and hi[-1] - lo[-1] > 0
 
     def test_identical_samples_zero_width_band(self):
         out = self._out([[1.0, 2.0]] * 5)
