@@ -47,6 +47,9 @@
 #   - a fit of modified_heavisine at degrees 3,4 on a 700-point grid with
 #     --save-trace, so degree-3 curves go through mean_on off the data grid
 #     and degree 4 runs at all (its degree-3 children are table evaluations);
+#   - a fit --config on the data grid with --save-trace whose file sets
+#     full_recompute = true, so the config-file path reaches the mode too
+#     (every other full-recompute fit here sets it by flag);
 #   - two fits --config with --save-trace, one whose file sets p_birth = 0
 #     and one that sets p_death = 0, so the log of a zero move probability
 #     (-inf) enters the death ratio (J_k > 1) and the birth ratio;
@@ -186,6 +189,15 @@ burn_in = 500
 thin = 5
 seed = 53
 EOF
+    cat >config_full.txt <<'EOF'
+degrees = 0,1,2
+full_recompute = true
+grid = 0
+iterations = 800
+burn_in = 200
+thin = 4
+seed = 59
+EOF
     cat >user.csv <<'EOF'
 x,y
 -0.2431,0.4779
@@ -257,6 +269,8 @@ EOF
         --burn-in 1000 --thin 10 --seed 41 --out-prefix user_fit --save-trace
     run fit_mh34 fit mh.csv --degrees 3,4 --grid 700 --iterations 2000 \
         --burn-in 1000 --thin 10 --seed 43 --out-prefix mh34_fit --save-trace
+    run fit_full_config fit blocks.csv --config config_full.txt \
+        --out-prefix full_config_fit --save-trace
     run fit_no_birth fit blocks.csv --config config_no_birth.txt \
         --out-prefix no_birth_fit --save-trace
     run fit_no_death fit blocks.csv --config config_no_death.txt \

@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -77,8 +77,10 @@ def write_csv(path: str, header: str, *columns):
 # ---- run configuration ----------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """A run's settings; `hyper` and `chain` are built from them once, here."""
+
     degrees: tuple[int, ...] = (0, 1, 2)
     r: float = 0.01
     R: float = 0.01
@@ -98,8 +100,12 @@ class RunConfig:
     full_recompute: bool = False
 
     def __post_init__(self):
-        self.hyperparams()  # validate the mirrored invariants once, here
-        self.chain_config()
+        # not fields: `dump` and the config keys skip them, and `replace` rebuilds them
+        object.__setattr__(self, "hyper", Hyperparams(
+            self.degrees, r=self.r, R=self.R, a_gamma=self.a_gamma, b_gamma=self.b_gamma,
+            move_probs=(self.p_birth, self.p_death, self.p_relocate)))
+        object.__setattr__(self, "chain", ChainConfig(
+            iterations=self.iterations, burn_in=self.burn_in, thin=self.thin, seed=self.seed))
         if self.grid < 0:
             raise ValueError(f"config field grid must be >= 0, got {self.grid}")
         if not (0.0 <= self.q_lower < self.q_upper <= 1.0):
@@ -108,15 +114,6 @@ class RunConfig:
             q = getattr(self, name)
             if round(1000 * q) / 1000 != q:
                 raise ValueError(f"config field {name} must be a whole per-mille, got {q}")
-
-    def hyperparams(self) -> Hyperparams:
-        return Hyperparams(self.degrees, r=self.r, R=self.R,
-                           a_gamma=self.a_gamma, b_gamma=self.b_gamma,
-                           move_probs=(self.p_birth, self.p_death, self.p_relocate))
-
-    def chain_config(self) -> ChainConfig:
-        return ChainConfig(iterations=self.iterations, burn_in=self.burn_in,
-                           thin=self.thin, seed=self.seed)
 
     def dump(self) -> str:
         lines = []
@@ -216,7 +213,7 @@ def cmd_fit(args) -> int:
     cfg = parse_config(text, flags)
     data = parse_dataset(args.data)
     grid = data.x if cfg.grid == 0 else np.linspace(data.x.min(), data.x.max(), cfg.grid)
-    out = run_chain(data, cfg.hyperparams(), cfg.chain_config(), grid=grid,
+    out = run_chain(data, cfg.hyper, cfg.chain, grid=grid,
                     prior_only=cfg.prior_only, full_recompute=cfg.full_recompute)
     mean, lower, upper = posterior_curve(out, levels=(cfg.q_lower, cfg.q_upper))
     prefix = args.out_prefix
@@ -298,11 +295,11 @@ def parse_benchmark_spec(text: str) -> ExperimentSpec:
     if values["function"] not in TEST_FUNCTIONS:
         raise ValueError(f"unknown test function {values['function']!r}")
     # a spec's M_k prior defaults to Gamma(1, 1), the published study's for most functions
-    cfg = replace(RunConfig(a_gamma=1.0), **{k: values[k] for k in _SHARED_KEYS if k in values})
+    cfg = RunConfig(**{"a_gamma": 1.0, **{k: values[k] for k in _SHARED_KEYS if k in values}})
     return ExperimentSpec(
         function=values["function"], n=values["n"], rsnr=values["rsnr"],
-        replicates=values["replicates"], hyper=cfg.hyperparams(),
-        chain=cfg.chain_config(), threshold=values.get("threshold"),
+        replicates=values["replicates"], hyper=cfg.hyper, chain=cfg.chain,
+        threshold=values.get("threshold"),
     )
 
 

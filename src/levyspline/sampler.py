@@ -21,9 +21,9 @@ proposals are rejected, and a ratio writes nothing. The residual is the
 chain's only fit state: `Chain._write`, the one place it changes, takes an
 accepted move's delta off it and recomputes its sum of squares. A
 prior-only chain is the same chain fitted to no observations; a
-full-recompute chain differs only in `_write`, which rebuilds every column
-and c·c from its record's knots at each write and takes the residual
-afresh from their sum.
+full-recompute chain differs only in `_write`, which re-runs the chain's
+initial `_refit` at each write: every column and c·c rebuilt from its
+record's knots, and the residual taken afresh from their sum.
 
 `run_chain` records a data-grid curve by summing the cached columns
 (`Chain.cached_mean`), which has `mean_on`'s bits; any other grid goes
@@ -195,10 +195,11 @@ class Chain:
     plain `(knots, beta, col, cc)` records, `knots` a sorted list of k + 2
     floats, `col` its `basis_values` on the chain's `x` and `cc` the float
     `col·col`. `resid` is `y` minus the fit and `rss` its `resid·resid`.
-    `__init__` copies the `(knots, beta)` records of the initial
+    `__init__` copies the `(knots, beta)` pairs of the initial
     `ModelState` (from `init_state`, or a caller's `state`, which has checked
-    each record) and rejects a state whose degrees differ from the
-    hyperparameters' or with a knot outside the data's domain. From then on
+    each record), rejects a state whose degrees differ from the
+    hyperparameters' or with a knot outside the data's domain, and fits the
+    pairs with `_refit`, which makes them records. From then on
     no record is checked: a birth appends a `sample_atom` draw and a
     relocation keeps each knot between its neighbours.
 
@@ -223,46 +224,45 @@ class Chain:
         self.beta0 = state.beta0
         self.sigma2 = state.sigma2
         self.phi = state.phi
-        # each record's column and c·c are filled in by _rebuild_columns below
-        self.atoms: dict[int, list[tuple[list[float], float, np.ndarray, float]]] = {
-            k: [(list(knots), beta, None, None) for knots, beta in comp.atoms]
+        self.atoms: dict[int, list[tuple]] = {
+            k: [(list(knots), beta) for knots, beta in comp.atoms]
             for k, comp in state.components.items()}
         self.M: dict[int, float] = {k: comp.M for k, comp in state.components.items()}
         if set(self.atoms) != set(hyper.degrees):
             raise ValueError("state degrees do not match hyperparameter degrees")
         lo, hi = self.domain
         for atoms in self.atoms.values():
-            for knots, *_ in atoms:
+            for knots, _ in atoms:
                 if knots[0] < lo or knots[-1] > hi:
                     raise ValueError(
                         f"knots {tuple(knots)} lie outside the domain ({lo}, {hi})")
         self.attempts: dict[tuple[str, int], int] = {}
         self.accepts: dict[tuple[str, int], int] = {}
-        self._rebuild_columns()
-        self.resid = self.y - self.cached_mean()
-        self.rss = _sumsq(self.resid)
+        self._refit()
 
     # ---- caches -----------------------------------------------------------
 
-    def _rebuild_columns(self):
+    def _refit(self):
+        """Fit the records afresh: every column and c·c, then `resid` and `rss`."""
         # in place: a relocation in progress holds its degree's list
         for k, atoms in self.atoms.items():
             for i, (knots, beta, *_) in enumerate(atoms):
                 col = basis_values(knots, k, self.x)
                 atoms[i] = (knots, beta, col, _sumsq(col))
+        self.resid = self.y - self.cached_mean()
+        self.rss = _sumsq(self.resid)
 
     def _write(self, delta: np.ndarray):
         """Add `delta` to the fit: take it off `resid` and recompute `rss`.
 
         Every move writes its record first, so a full-recompute chain ignores
-        `delta` and rebuilds every column and `cc` from the records instead.
+        `delta` and re-runs its initial `_refit` from the records instead.
         """
         if self.full_recompute:
-            self._rebuild_columns()
-            self.resid = self.y - self.cached_mean()
+            self._refit()
         else:
             self.resid -= delta
-        self.rss = _sumsq(self.resid)
+            self.rss = _sumsq(self.resid)
 
     def cached_mean(self) -> np.ndarray:
         """The mean on the chain's `x`, summed from the cached columns.

@@ -8,31 +8,24 @@ import pytest
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
-@pytest.fixture
-def full_scale_runner():
-    """A fresh import of scripts/run_full_scale.py (scripts/ is not a package)."""
-    spec = importlib.util.spec_from_file_location(
-        "run_full_scale", SCRIPTS / "run_full_scale.py")
+def _load_script(name: str):
+    """A fresh import of scripts/<name>.py (scripts/ is not a package)."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def full_scale_runner():
+    return _load_script("run_full_scale")
 
 
 @pytest.fixture
 def bench_basis():
-    """A fresh import of scripts/bench_basis.py."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_basis", SCRIPTS / "bench_basis.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load_script("bench_basis")
 
 
 @pytest.fixture
 def perf_pairs():
-    """A fresh import of scripts/perf_pairs.py."""
-    spec = importlib.util.spec_from_file_location(
-        "perf_pairs", SCRIPTS / "perf_pairs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load_script("perf_pairs")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import pathlib
@@ -13,6 +14,7 @@ from pytest import approx
 from levyspline.cli import (
     RunConfig,
     _trace_summary,
+    build_parser,
     fmt,
     main,
     parse_benchmark_spec,
@@ -20,6 +22,7 @@ from levyspline.cli import (
     parse_dataset,
     write_csv,
 )
+from levyspline.model import Hyperparams
 from levyspline.sampler import ChainConfig, _quantiles, posterior_curve, run_chain
 from levyspline.signals import eval_test_function, sample_grid
 
@@ -84,6 +87,30 @@ class TestRunConfig:
         assert cfg.iterations == 50000 and cfg.burn_in == 25000 and cfg.thin == 10
         assert (cfg.r, cfg.R, cfg.a_gamma, cfg.b_gamma) == (0.01, 0.01, 5.0, 1.0)
         assert (cfg.p_birth, cfg.p_death, cfg.p_relocate) == (0.4, 0.4, 0.2)
+
+    def test_parser_description_states_the_defaults(self):
+        # the description restates the defaults by hand, so one changed in RunConfig alone fails
+        d, text = RunConfig(), build_parser().description
+        for stated in (f"degrees {','.join(map(str, d.degrees))};",
+                       f"r=R={d.r:g};", f"R={d.R:g};",
+                       f"a_gamma={d.a_gamma:g},", f"b_gamma={d.b_gamma:g};",
+                       f"move probabilities ({d.p_birth:g}, {d.p_death:g}, {d.p_relocate:g});",
+                       f"; {d.iterations} iterations,", f", {d.burn_in} burn-in,",
+                       f", thin {d.thin};", f"; {d.q_lower:g}/{d.q_upper:g} quantile band."):
+            assert stated in text, stated
+
+    def test_frozen_and_derived_once(self):
+        cfg = parse_config("degrees = 3,0\nr = 0.5\nR = 0.25\na_gamma = 2\nb_gamma = 3\n"
+                           "p_birth = 0.3\np_death = 0.5\np_relocate = 0.2\n"
+                           "iterations = 900\nburn_in = 300\nthin = 6\nseed = 4\n")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.seed = 5
+        assert cfg.hyper == Hyperparams((0, 3), r=0.5, R=0.25, a_gamma=2.0, b_gamma=3.0,
+                                        move_probs=(0.3, 0.5, 0.2))
+        assert cfg.chain == ChainConfig(iterations=900, burn_in=300, thin=6, seed=4)
+        moved = dataclasses.replace(cfg, seed=9)
+        assert moved.chain == ChainConfig(iterations=900, burn_in=300, thin=6, seed=9)
+        assert moved.hyper == cfg.hyper and cfg.chain.seed == 4
 
     def test_parse_overrides(self):
         cfg = parse_config("degrees = 0,2\nr = 100\niterations = 1000\n"
@@ -284,7 +311,7 @@ class TestFitCommand:
         # skewed pointwise posterior (most samples at beta0) puts outside it
         cfg = RunConfig(degrees=(0,), iterations=400, burn_in=100, thin=4, seed=2)
         parsed = parse_dataset(data)
-        chain = run_chain(parsed, cfg.hyperparams(), cfg.chain_config())
+        chain = run_chain(parsed, cfg.hyper, cfg.chain)
         rows = np.array([[float(p) for p in line.split(",")] for line in curve_lines[1:]])
         want = np.column_stack([parsed.x, *posterior_curve(chain)])
         assert rows.tobytes() == want.tobytes()
