@@ -21,7 +21,10 @@
 #     at degrees 0,2 on a 1000-point grid with --save-trace, so its curves go
 #     through mean_on, and a --full-recompute --prior-only fit;
 #   - two --prior-only fits (one on the data grid);
-#   - summarize on the modified_heavisine trace;
+#   - summarize on the modified_heavisine trace, and on a hand-written
+#     trace with an integer-count column, a column of +0.0/-0.0 whose
+#     q975 reads -0.0 and a column reaching 1e300, whose squares overflow
+#     at their own scale;
 #   - a 3-replicate heavisine benchmark in csv (with --verbose) and in json;
 #   - a fit --config whose file sets every hyperparameter key (r, R,
 #     a_gamma, b_gamma, p_birth, p_death, p_relocate) plus q_lower/q_upper,
@@ -198,6 +201,20 @@ burn_in = 200
 thin = 4
 seed = 59
 EOF
+    cat >hand_trace.csv <<'EOF'
+sample,J_0,zero,sigma2
+0,3,-0.0,1e300
+1,0,-0.0,2.5e-3
+2,5,0.0,7.25e299
+3,2,-0.0,0.125
+4,3,-0.0,3e-5
+5,1,0.0,9.999999999999999e299
+6,4,-0.0,41.5
+7,3,-0.0,6.02e23
+8,0,0.0,1.7
+9,2,-0.0,8e299
+10,6,-0.0,0.0625
+EOF
     cat >user.csv <<'EOF'
 x,y
 -0.2431,0.4779
@@ -252,6 +269,7 @@ EOF
     run fit_prior_data fit blocks.csv --degrees 0,2 --grid 0 --iterations 2000 \
         --burn-in 500 --thin 5 --seed 9 --prior-only --out-prefix prior_data_fit
     run summarize summarize mh_fit_trace.csv --out mh_resummary.json
+    run summarize_hand summarize hand_trace.csv
     run bench_csv benchmark spec.txt --out bench.csv --verbose
     run bench_json benchmark spec.txt --format json --out bench.json
     run fit_config fit blocks.csv --config config.txt --out-prefix config_fit \

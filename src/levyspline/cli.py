@@ -246,31 +246,25 @@ def cmd_fit(args) -> int:
 
 
 def _trace_summary(values) -> dict:
-    v = np.asarray(values, dtype=float)
-    # one call per level, as `np.quantile(v, q)`: the kth set decides ±0 ties
-    return {
-        "mean": float(v.mean()),
-        "sd": _sd(v),
-        "q025": float(_quantiles(v[:, None], (0.025,))[0, 0]),
-        "q975": float(_quantiles(v[:, None], (0.975,))[0, 0]),
-    }
+    """Mean, sd (ddof 1; 0 for one sample) and 2.5%/97.5% quantiles of a trace.
 
-
-def _sd(v: np.ndarray) -> float:
-    """Sample standard deviation that stays finite when the squares overflow.
-
-    Prior-only sigma^2 draws reach 1e300, whose squares overflow. Only then
-    is the sd taken on v scaled by a power of two, which is exact, so every
-    summary that did not overflow keeps its bytes.
+    Each is taken on the trace scaled by the power of two that puts its
+    largest magnitude in [0.5, 1), then scaled back: exact while no value
+    falls below 2**-1021 of the largest. Where numpy's own squares stay in
+    range the figures have its bits; here those of sigma^2 draws near 1e300
+    cannot overflow, nor those of a trace near 1e-200 underflow.
     """
-    if len(v) < 2:
-        return 0.0
-    with np.errstate(over="ignore"):
-        sd = v.std(ddof=1)
-    if not np.isfinite(sd):
-        e = int(np.frexp(np.abs(v).max())[1])
-        sd = np.ldexp(np.ldexp(v, -e).std(ddof=1), e)
-    return float(sd)
+    v = np.asarray(values, dtype=float)
+    e = math.frexp(np.abs(v).max())[1]
+    u = np.ldexp(v, -e)
+    stats = {
+        "mean": u.mean(),
+        "sd": u.std(ddof=1) if len(u) > 1 else 0.0,
+        # one call per level, as `np.quantile(v, q)`: the kth set decides ±0 ties
+        "q025": _quantiles(u[:, None], (0.025,))[0, 0],
+        "q975": _quantiles(u[:, None], (0.975,))[0, 0],
+    }
+    return {key: math.ldexp(s, e) for key, s in stats.items()}
 
 
 def _write_trace(path: str, out):

@@ -80,6 +80,7 @@ def run_benchmark_criterion(criterion, function, rsnr, degrees, threshold,
            f"replicates, bound {threshold}")
 
 
+@pytest.mark.desk
 class TestBenchmarkCriteria:
     def test_criterion_1_blocks_mean_mse(self):
         run_benchmark_criterion(1, "blocks", 3.0, (0,), 2.0)

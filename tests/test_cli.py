@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import re
+import statistics
 import subprocess
 import sys
 
@@ -24,7 +25,7 @@ from levyspline.cli import (
 )
 from levyspline.model import Hyperparams
 from levyspline.sampler import ChainConfig, _quantiles, posterior_curve, run_chain
-from levyspline.signals import eval_test_function, sample_grid
+from levyspline.signals import eval_test_function, generate_dataset, sample_grid
 
 
 class TestParseDataset:
@@ -666,6 +667,7 @@ class TestTraceSummary:
         rng = np.random.default_rng(n)
         yield rng.standard_normal(n)
         yield rng.integers(0, 6, size=n).astype(float)  # a J_k trace
+        yield rng.lognormal(0.0, 50.0, size=n)  # magnitudes from about 1e-87 to 1e87
         for seed in range(20):  # +0.0/-0.0 ties
             yield np.random.default_rng(seed).choice(
                 [-0.0, 0.0, -1.0, 1.0], size=n, p=[0.4, 0.4, 0.1, 0.1])
@@ -686,6 +688,35 @@ class TestTraceSummary:
             for q in (0.0, 0.025, 0.5, 0.975, 1.0):
                 self._same(float(_quantiles(v[:, None], (q,))[0, 0]),
                            float(np.quantile(v, q)))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 500])
+    def test_json_has_the_bytes_of_numpy(self, n):
+        # the summary is taken at unit scale; a power-of-two scale is exact here
+        for v in self._traces(n):
+            want = {"mean": float(np.mean(v)),
+                    "sd": float(np.std(v, ddof=1)) if n > 1 else 0.0,
+                    "q025": float(np.quantile(v, 0.025)),
+                    "q975": float(np.quantile(v, 0.975))}
+            assert json.dumps(_trace_summary(v)) == json.dumps(want)
+
+    def test_prior_only_sigma2_reaching_1e300_stays_finite(self):
+        # the squares of these draws overflow at their own scale
+        data = generate_dataset("blocks", 32, 3.0, 5)
+        out = run_chain(data, Hyperparams((0,)), ChainConfig(iterations=1000),
+                        grid=data.x, prior_only=True)
+        v = out.sigma2
+        assert v.max() > 9.9e299
+        summary = _trace_summary(v)
+        assert all(np.isfinite(list(summary.values())))
+        assert summary["sd"] == approx(statistics.stdev(v.tolist()), rel=1e-13)
+        assert summary["mean"] == float(np.mean(v))
+        assert summary["q025"] == float(np.quantile(v, 0.025))
+        assert summary["q975"] == float(np.quantile(v, 0.975))
+
+    def test_sd_of_a_column_near_1e_200(self):
+        # its squares underflow at its own scale
+        v = [1e-200, 2e-200, 3e-200]
+        assert _trace_summary(v)["sd"] == statistics.stdev(v) == 1e-200
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 500])
     def test_nan_reads_nan(self, n):

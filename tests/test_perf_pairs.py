@@ -5,14 +5,14 @@ import json
 import pytest
 
 
-def canned(side, i, failed=0):
+def canned(side, i, failed=0, change_rss=60.0):
     """A run result: per metric, a parent value for pair i and the change's."""
     parent = {"setup_s": 0.5,                # a tie in every pair
               "cpu_s": 1.0 + 0.001 * i,      # interquartile range 0.0045
               "sweeps_per_s": 100.0 + 20 * i,  # IQR 90, median 190: past the bound
               "peak_rss_mb": 50.0}
     change = {"setup_s": 0.5, "cpu_s": parent["cpu_s"] - 0.01,
-              "sweeps_per_s": parent["sweeps_per_s"] + 1.0, "peak_rss_mb": 60.0}
+              "sweeps_per_s": parent["sweeps_per_s"] + 1.0, "peak_rss_mb": change_rss}
     values = parent if side == "parent" else change
     return {"correct": failed == 0, "attempted": 5, "failed": failed,
             "metrics": {k: {"value": v, "unit": "-"} for k, v in values.items()}}
@@ -21,17 +21,20 @@ def canned(side, i, failed=0):
 class Runner:
     """Stands in for `run_once`: answers from `canned` and records each call.
 
-    The change's run of seed `fail_seed` reports one failed operation.
+    The change's run of seed `fail_seed` reports one failed operation, and
+    each of the change's runs reads `change_rss` MB of peak RSS.
     """
 
     def __init__(self):
         self.calls = []
         self.fail_seed = None
+        self.change_rss = 60.0
 
     def __call__(self, bench, root, workload, seed):
         side = root.name
         self.calls.append((side, workload, seed, bench["run_seconds"]))
-        return canned(side, seed - 40, failed=int(side == "change" and seed == self.fail_seed))
+        return canned(side, seed - 40, failed=int(side == "change" and seed == self.fail_seed),
+                      change_rss=self.change_rss)
 
 
 @pytest.fixture
@@ -70,6 +73,17 @@ def test_pairs_alternate_and_each_metric_is_judged(perf_pairs, stubbed, tmp_path
     assert m["cpu_s"]["parent_iqr"] == pytest.approx(0.0045)
     # higher is better: the change wins every pair, by less than the spread
     assert m["sweeps_per_s"]["change_wins"] == 10
+
+
+@pytest.mark.parametrize("change_rss, verdict", [(49.88, "same"), (49.5, "gain")])
+def test_peak_rss_gain_must_beat_the_layout_floor(perf_pairs, stubbed, tmp_path, capsys,
+                                                  change_rss, verdict):
+    # a 0.12 MB shift won in every pair is where malloc put the same memory
+    stubbed.change_rss = change_rss
+    _, _, summary = run(perf_pairs, tmp_path, capsys)
+    m = summary["metrics"]["peak_rss_mb"]
+    assert (m["change_wins"], m["parent_iqr"]) == (10, 0.0)
+    assert m["verdict"] == verdict
 
 
 def test_failed_operation_exits_1(perf_pairs, stubbed, tmp_path, capsys):
