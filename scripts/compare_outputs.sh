@@ -50,6 +50,10 @@
 #   - a fit of modified_heavisine at degrees 3,4 on a 700-point grid with
 #     --save-trace, so degree-3 curves go through mean_on off the data grid
 #     and degree 4 runs at all (its degree-3 children are table evaluations);
+#   - a fit of blocks at degrees 4,5 on a 300-point grid with --save-trace,
+#     the one case that runs degree 5, so a bit that a change moves in the
+#     kernel's level-by-level recursion above degree 3 shows here (no
+#     workload runs degree >= 4);
 #   - a fit --config on the data grid with --save-trace whose file sets
 #     full_recompute = true, so the config-file path reaches the mode too
 #     (every other full-recompute fit here sets it by flag);
@@ -287,6 +291,8 @@ EOF
         --burn-in 1000 --thin 10 --seed 41 --out-prefix user_fit --save-trace
     run fit_mh34 fit mh.csv --degrees 3,4 --grid 700 --iterations 2000 \
         --burn-in 1000 --thin 10 --seed 43 --out-prefix mh34_fit --save-trace
+    run fit_deg45 fit blocks.csv --degrees 4,5 --grid 300 --iterations 1000 \
+        --burn-in 500 --thin 5 --seed 61 --out-prefix deg45_fit --save-trace
     run fit_full_config fit blocks.csv --config config_full.txt \
         --out-prefix full_config_fit --save-trace
     run fit_no_birth fit blocks.csv --config config_no_birth.txt \

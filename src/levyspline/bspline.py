@@ -47,7 +47,7 @@ can occur, and each sum starts from +0, so no -0 reaches the result.
 Degrees 4-5 are within 6.1e-16 of a Cox-de Boor triangle masked term by
 term on the tests' stress cases (bound 4e-15). A call costs k - 2 table
 evaluations plus about ten numpy calls per blend, several times a degree-3
-call (`scripts/bench_basis.py` times both); no workload runs degree >= 4.
+call; no workload runs degree >= 4.
 
 x must be finite at every degree: outside the support the table has s = x,
 so +-inf or nan gives nan where a triangle gives 0. Callers pass a checked

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -190,6 +191,13 @@ def _with_suffix(path: str, suffix: str) -> str:
     return path + suffix
 
 
+def _require_out_dir(path: str) -> None:
+    """Fail before any sampling if the directory `path` is written in is missing."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(f"output directory {directory!r} does not exist")
+
+
 # the config keys `fit` also takes as flags (`--burn-in` sets `burn_in`),
 # in `fit --help` order, with their help text
 _FIT_FLAGS = {
@@ -203,6 +211,7 @@ _FIT_FLAGS = {
 
 
 def cmd_fit(args) -> int:
+    _require_out_dir(args.out_prefix)
     # a flag's text is parsed as the config line `key = text` would be
     flags = {key: _parse_value(key, raw, _CONFIG_KEYS[key])
              for key, raw in vars(args).items() if key in _FIT_FLAGS}
@@ -298,6 +307,7 @@ def parse_benchmark_spec(text: str) -> ExperimentSpec:
 
 
 def cmd_benchmark(args) -> int:
+    _require_out_dir(args.out)
     with open(args.spec) as fh:
         spec = parse_benchmark_spec(fh.read())
     def progress(i, value):

@@ -22,10 +22,5 @@ def full_scale_runner():
 
 
 @pytest.fixture
-def bench_basis():
-    return _load_script("bench_basis")
-
-
-@pytest.fixture
 def perf_pairs():
     return _load_script("perf_pairs")

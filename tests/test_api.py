@@ -2,7 +2,8 @@ import levyspline
 from levyspline import bspline, model, sampler
 
 ORACLES = ("birth_log_ratio", "death_log_ratio", "_with_atoms", "log_likelihood",
-           "LOG_2PI", "atom_log_prior", "eval_basis", "basis_integral", "eval_mean")
+           "LOG_2PI", "atom_log_prior", "eval_basis", "basis_integral", "eval_mean",
+           "piece_table")
 
 
 def test_all_resolves_every_name():

@@ -600,6 +600,37 @@ class TestBenchmarkCommand:
         assert "missing fields" in capsys.readouterr().err
 
 
+class TestMissingOutputDirectory:
+    # the directory is checked before the chain runs, not when the first
+    # output is opened after it
+    @pytest.fixture(autouse=True)
+    def no_sampling(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("run_chain called")
+
+        monkeypatch.setattr("levyspline.cli.run_chain", refuse)
+        monkeypatch.setattr("levyspline.bench.run_chain", refuse)
+
+    def test_fit(self, tmp_path, capsys):
+        data = str(tmp_path / "data.csv")
+        assert main(["simulate", "blocks", "--n", "16", "--out", data]) == 0
+        missing = tmp_path / "missing" / "dir"
+        rc = main(["fit", data, "--out-prefix", str(missing / "fit")])
+        assert rc == 1
+        want = f"error: output directory {str(missing)!r} does not exist\n"
+        assert capsys.readouterr().err == want
+
+    def test_benchmark(self, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("function = blocks\nn = 16\nrsnr = 3\nreplicates = 2\ndegrees = 0\n"
+                        "iterations = 20\nburn_in = 10\nthin = 1\n")
+        missing = tmp_path / "missing"
+        rc = main(["benchmark", str(spec), "--out", str(missing / "t.csv")])
+        assert rc == 1
+        want = f"error: output directory {str(missing)!r} does not exist\n"
+        assert capsys.readouterr().err == want
+
+
 class TestSummarizeCommand:
     def test_round_trip_with_fit_trace(self, tmp_path, capsys):
         data = str(tmp_path / "d.csv")
