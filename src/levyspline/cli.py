@@ -177,9 +177,11 @@ def parse_config(text: str, overrides: dict | None = None) -> RunConfig:
 
 
 def cmd_simulate(args) -> int:
+    truth_path = args.truth_out or _with_suffix(args.out, "_truth")
+    _require_out_dir(args.out)
+    _require_out_dir(truth_path)
     data = generate_dataset(args.function, args.n, args.rsnr, args.seed)
     write_csv(args.out, "x,y", data.x, data.y)
-    truth_path = args.truth_out or _with_suffix(args.out, "_truth")
     write_csv(truth_path, "x,f", data.x, eval_test_function(args.function, data.x))
     print(f"wrote {args.out} and {truth_path}")
     return 0
@@ -192,7 +194,7 @@ def _with_suffix(path: str, suffix: str) -> str:
 
 
 def _require_out_dir(path: str) -> None:
-    """Fail before any sampling if the directory `path` is written in is missing."""
+    """Fail before any work if the directory `path` is written in is missing."""
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise FileNotFoundError(f"output directory {directory!r} does not exist")
@@ -322,6 +324,8 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_summarize(args) -> int:
+    if args.out:
+        _require_out_dir(args.out)
     with open(args.trace) as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -407,7 +411,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}\nhint: a constant response needs no spline atoms; "
               "fit an intercept instead", file=sys.stderr)
         return 1
-    except (ValueError, FileNotFoundError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

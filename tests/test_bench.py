@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import pathlib
 from dataclasses import replace
 
 import numpy as np
@@ -14,10 +15,13 @@ from levyspline.bench import (
     run_experiment,
     run_replicate,
 )
+from levyspline.cli import parse_benchmark_spec
 from levyspline.model import Hyperparams
 from levyspline.reference import REFERENCE_MSE, STUDY_HYPERPARAMS, reference_mse
 from levyspline.sampler import ChainConfig, posterior_curve, run_chain
 from levyspline.signals import eval_test_function, generate_dataset, sample_grid
+
+DESK = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "benchmarks" / "desk"
 
 
 def small_spec(**over):
@@ -176,3 +180,14 @@ class TestReferenceConstants:
         for settings in STUDY_HYPERPARAMS.values():
             h = Hyperparams(**settings)
             assert h.degrees == tuple(sorted(settings["degrees"]))
+
+    def test_desk_specs_carry_the_study_priors(self):
+        # the desk files and `STUDY_HYPERPARAMS` both state the published priors
+        desk = sorted(DESK.glob("*.txt"))
+        assert [p.stem for p in desk] == ["blocks", "bumps", "heavisine", "modified_blocks"]
+        for path in desk:
+            spec = parse_benchmark_spec(path.read_text())
+            want = STUDY_HYPERPARAMS[path.stem]
+            assert spec.function == path.stem
+            got = {key: getattr(spec.hyper, key) for key in want}
+            assert got == {**want, "degrees": tuple(sorted(want["degrees"]))}, path.name

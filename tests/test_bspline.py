@@ -4,7 +4,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from pytest import approx
 
 from levyspline.bspline import _table, basis_values
@@ -87,13 +86,28 @@ def _oracle_cases(seed=2024, repeats=24):
                     yield degree, t, x
 
 
-def knot_vectors(max_degree=5):
-    """(degree, knots): k + 2 sorted knots in [0, 1] for a degree k."""
-    return st.integers(0, max_degree).flatmap(
-        lambda k: st.lists(
-            st.floats(0.0, 1.0, allow_nan=False), min_size=k + 2, max_size=k + 2
-        ).map(lambda ks: (k, tuple(sorted(ks))))
-    )
+_EDGE_KNOTS = np.array([0.0, 5e-324, 0.25, 0.5, 0.5625, 1.0 - 2.0**-53, 1.0])
+
+
+def _property_cases(seed=2032, per_degree=200):
+    """(degree, knots, x): `per_degree` knot vectors for each degree 0-5.
+
+    Each knot is drawn, as often as not, from the seven `_EDGE_KNOTS` (0, 1,
+    the smallest subnormal, 1 - 2**-53 and three interior values) rather
+    than uniform on [0, 1], so ties, end knots and subnormal gaps occur at
+    every degree. x holds every knot, the floats either side of it and 16
+    uniform points on [-0.5, 1.5].
+    """
+    rng = np.random.default_rng(seed)
+    for degree in range(6):
+        for _ in range(per_degree):
+            t = np.where(rng.random(degree + 2) < 0.5,
+                         rng.choice(_EDGE_KNOTS, degree + 2),
+                         rng.uniform(0.0, 1.0, degree + 2))
+            t.sort()
+            x = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf),
+                                rng.uniform(-0.5, 1.5, 16)])
+            yield degree, t, x
 
 
 class TestKnotVector:
@@ -256,19 +270,26 @@ class TestBasisIntegral:
 
 
 class TestProperties:
-    @settings(max_examples=200, deadline=None)
-    @given(knot_vectors(), st.floats(-0.5, 1.5, allow_nan=False))
-    def test_bounded(self, kv, x):
-        _, knots = kv
-        v = eval_basis(knots, x)
-        assert 0.0 <= v <= 1.0 + 1e-12
+    def test_bounded(self):
+        for degree, t, x in _property_cases():
+            v = basis_values(t, degree, x)
+            assert ((v >= 0.0) & (v <= 1.0 + 1e-12)).all(), (degree, t.tolist())
 
-    @settings(max_examples=200, deadline=None)
-    @given(knot_vectors(), st.floats(-0.5, 1.5, allow_nan=False))
-    def test_zero_outside_support(self, kv, x):
-        _, knots = kv
-        if x < knots[0] or x >= knots[-1]:
-            assert eval_basis(knots, x) == 0.0
+    def test_zero_outside_support(self):
+        for degree, t, x in _property_cases():
+            outside = (x < t[0]) | (x >= t[-1])
+            v = basis_values(t, degree, x)
+            assert (v[outside] == 0.0).all(), (degree, t.tolist())
+
+    def test_cases_reach_the_edges(self):
+        cases, seen = list(_property_cases()), set()
+        assert len(cases) == 6 * 200
+        for degree, t, _ in cases:
+            gaps = np.diff(t)
+            kinds = {"tie": (gaps == 0.0).any(), "ends": t[0] == 0.0 and t[-1] == 1.0,
+                     "subnormal gap": (gaps[gaps > 0.0] < 2.0**-1022).any()}
+            seen |= {(degree, kind) for kind, hit in kinds.items() if hit}
+        assert seen == set(itertools.product(range(6), ("tie", "ends", "subnormal gap")))
 
     def test_strictly_positive_inside_distinct_support(self):
         rng = np.random.default_rng(5)

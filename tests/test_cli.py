@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -630,6 +631,26 @@ class TestMissingOutputDirectory:
         want = f"error: output directory {str(missing)!r} does not exist\n"
         assert capsys.readouterr().err == want
 
+    def test_simulate(self, tmp_path, capsys):
+        # a missing truth directory leaves no data CSV behind
+        ok = tmp_path / "ok.csv"
+        missing = tmp_path / "missing"
+        rc = main(["simulate", "blocks", "--n", "16", "--out", str(ok),
+                   "--truth-out", str(missing / "t.csv")])
+        assert rc == 1
+        want = f"error: output directory {str(missing)!r} does not exist\n"
+        assert capsys.readouterr().err == want
+        assert not ok.exists()
+
+    def test_summarize(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("sample,sigma2\n0,1.5\n1,2.5\n")
+        missing = tmp_path / "missing"
+        rc = main(["summarize", str(trace), "--out", str(missing / "s.json")])
+        assert rc == 1
+        want = f"error: output directory {str(missing)!r} does not exist\n"
+        assert capsys.readouterr().err == want
+
 
 class TestSummarizeCommand:
     def test_round_trip_with_fit_trace(self, tmp_path, capsys):
@@ -786,3 +807,21 @@ print("numpy.ma" in sys.modules)
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_readme_commands_use_real_flags():
+    # every `levyspline <command>` in the README's sh blocks, continuations
+    # joined and comments dropped, names only that subcommand's options
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    seen = set()
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            line = re.sub(r"(^|\s)#.*", "", line)
+            for command, rest in re.findall(r"\blevyspline\s+(\S+)([^;|&]*)", line):
+                options = {s for a in subparsers[command]._actions for s in a.option_strings}
+                for flag in re.findall(r"(?<!\S)--[\w-]+", rest):
+                    assert flag in options, (command, flag)
+                seen.add(command)
+    assert seen == set(subparsers)
